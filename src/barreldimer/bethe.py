@@ -48,6 +48,7 @@ from .errors import (
     RankDeficientError,
     ResidualExceededError,
     SectorError,
+    StructuralViolationError,
     TooLargeError,
 )
 from .transfer import _monomial_rows, boundary_vector, mask_elements
@@ -298,7 +299,8 @@ def top_selection(m: int, p: int) -> tuple[int, ...]:
     else:
         q = (p - 1) // 2
         sel = {0} | set(range(1, q + 1)) | {m - r for r in range(1, q + 1)}
-    assert len(sel) == p
+    if len(sel) != p:
+        raise StructuralViolationError(f"selection {sorted(sel)} does not have p={p} roots")
     return tuple(sorted(sel))
 
 

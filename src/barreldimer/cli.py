@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -34,21 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _max_workers() -> int:
-    """Worker cap from BARREL_THREADS; current kernels are single-threaded."""
-    raw = os.environ.get("BARREL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        sys.stderr.write(f"error: BARREL_THREADS must be a positive integer, got {raw!r}\n")
-        raise SystemExit(EXIT_USAGE)
-    return value
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -427,7 +411,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _max_workers()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "samples", None) is not None and args.samples < 0:

@@ -16,9 +16,10 @@ class InvalidParamsError(BarrelError, ValueError):
 
 
 class StructuralViolationError(BarrelError):
-    """A constructed graph violates a structural invariant.
+    """A constructed graph, matching, profile or selection breaks an invariant.
 
-    The message names the first invariant that failed.
+    The message names the first invariant that failed.  Internal
+    invariants raise it rather than assert, so they hold under -O too.
     """
 
 

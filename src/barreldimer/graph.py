@@ -192,7 +192,8 @@ def build_graph(params: BarrelParams) -> BarrelGraph:
     for j in range(1, k + 2):
         labels.extend(f"C:{j}:{i}" for i in range(2 * m))
     labels.extend(f"R:{l}" for l in range(m))
-    assert len(labels) == n
+    if len(labels) != n:
+        raise StructuralViolationError(f"{len(labels)} labels for {n} vertices")
 
     def u_left(l: int) -> int:
         return l % m
@@ -228,7 +229,8 @@ def build_graph(params: BarrelParams) -> BarrelGraph:
         horizontal_ids[(k + 1, l)] = add(w(k + 1, 2 * l + 1), u_right(l), EDGE_HORIZONTAL, k + 1, l)
     for l in range(m):
         cap_ids[("R", l)] = add(u_right(l), u_right(l + 1), EDGE_MGON, k + 2, l)
-    assert len(edges) == params.n_edges
+    if len(edges) != params.n_edges:
+        raise StructuralViolationError(f"{len(edges)} edges, expected {params.n_edges}")
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, e in enumerate(edges):
@@ -438,8 +440,10 @@ def horizontal_profile(g: BarrelGraph, matching: Matching) -> HorizontalProfile:
             layers[e.layer].add(e.pos)
     profile = HorizontalProfile(tuple(frozenset(s) for s in layers))
     cards = {len(s) for s in profile.layers}
-    assert len(cards) == 1, f"layer cardinalities differ: {sorted(cards)}"
-    assert profile.cardinality % 2 == g.m % 2, "profile cardinality has wrong parity"
+    if len(cards) != 1:
+        raise StructuralViolationError(f"layer cardinalities differ: {sorted(cards)}")
+    if profile.cardinality % 2 != g.m % 2:
+        raise StructuralViolationError("profile cardinality has wrong parity")
     return profile
 
 
@@ -455,7 +459,8 @@ def matching_to_tiling(g: BarrelGraph, matching: Matching) -> Tiling:
     """Rhombus tiling of the matching: one rhombus per matched edge."""
     _require_perfect(g, matching)
     rhombi = tuple(sorted((eid, _RHOMBUS_KIND[g.edges[eid].kind]) for eid in matching.edges))
-    assert len(rhombi) == g.n_vertices // 2
+    if len(rhombi) != g.n_vertices // 2:
+        raise StructuralViolationError(f"{len(rhombi)} rhombi for {g.n_vertices} vertices")
     return Tiling(rhombi)
 
 

@@ -45,6 +45,7 @@ from .errors import (
     ParityViolationError,
     SectorError,
     SizeMismatchError,
+    StructuralViolationError,
     TooLargeError,
 )
 from .graph import (
@@ -55,7 +56,8 @@ from .graph import (
     Matching,
     horizontal_profile,
 )
-from .transfer import TRANSFER_M_CAP, _count_rows, boundary_vector, mask_elements
+from . import transfer
+from .transfer import TRANSFER_M_CAP, boundary_vector, mask_elements
 
 LEADING_TOL = 1e-12
 
@@ -100,10 +102,12 @@ def matching_to_paths(g: BarrelGraph, matching: Matching) -> PathFamily:
         for traj in trajectories:
             site = traj[-1]
             if site not in moves:
-                raise AssertionError(f"walker at site {site} has no move at time {t}")
+                raise StructuralViolationError(f"walker at site {site} has no move at time {t}")
             traj.append(moves[site])
     fam = PathFamily(m, k, tuple(tuple(traj) for traj in trajectories))
-    assert fam.n_walkers == m - profile.cardinality
+    if fam.n_walkers != m - profile.cardinality:
+        raise StructuralViolationError(
+            f"{fam.n_walkers} walkers for {profile.cardinality} horizontal edges per layer")
     return fam
 
 
@@ -143,15 +147,20 @@ def _site_mask(m: int, sites: Iterable[int]) -> tuple[int, int]:
     return mask, parity
 
 
-def _step_vec(m: int, vec: dict[int, int], parity: int) -> dict[int, int]:
+def _transfer_rows(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """The transfer's count rows indexed by mask, read once per DP."""
+    return [transfer._count_row(m, s) for s in range(1 << m)]
+
+
+def _step_vec(m: int, rows, vec: dict[int, int], parity: int) -> dict[int, int]:
     """One time step of the walker DP; states are site bitmasks of one parity.
 
-    Transition weights are the transfer entries evaluated on complements,
-    after rotating odd-parity states down to the even sublattice.
+    Transition weights are the transfer entries evaluated on complements
+    (rows from _transfer_rows), after rotating odd-parity states down to
+    the even sublattice.
     """
     n_sites = 2 * m
     full = (1 << m) - 1
-    rows = dict(_count_rows(m, False))
     out: dict[int, int] = {}
     for state, weight in vec.items():
         if parity == 1:
@@ -190,9 +199,10 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int], *,
     if bin(start_mask).count("1") != bin(end_mask).count("1"):
         raise SizeMismatchError(
             f"start has {bin(start_mask).count('1')} walkers, end {bin(end_mask).count('1')}")
+    rows = _transfer_rows(m)
     vec = {start_mask: 1}
     for t in range(k + 1):
-        vec = _step_vec(m, vec, (parity + t) % 2)
+        vec = _step_vec(m, rows, vec, (parity + t) % 2)
     return vec.get(end_mask, 0)
 
 
@@ -206,8 +216,9 @@ def total_via_paths(m: int, k: int, *, m_cap: int = TRANSFER_M_CAP) -> int:
     for sites, mult in admissible_boundaries(m):
         mask, _ = _site_mask(m, sites)
         vec[mask] = vec.get(mask, 0) + mult
+    rows = _transfer_rows(m)
     for t in range(k + 1):
-        vec = _step_vec(m, vec, t % 2)
+        vec = _step_vec(m, rows, vec, t % 2)
     total = 0
     for sites, mult in admissible_boundaries(m):
         shifted = [(s + k + 1) % n_sites for s in sites]
@@ -275,15 +286,25 @@ def krattenthaler_estimate(m: int, k: int, eta: Sequence[float], lam: Sequence[f
                 f"walker {j}: 2*eta + 2*lam = {round(2 * etas[j] + 2 * lams[j])} "
                 f"breaks the k+1 = {k + 1} step parity")
 
-    prefactor = 2.0 ** (n * n - n) / (n * float(m) ** n)
-    base = eigenterm(m, n)
     sines = 1.0
     for h in range(n):
         for t in range(h + 1, n):
             sines *= math.sin(math.pi * (etas[h] - etas[t]) / m)
             sines *= abs(math.sin(math.pi * (lams[h] - lams[t]) / m))
-    value = prefactor * base ** (k + 1) * sines
+    value = _finite(m, k, lambda: 2.0 ** (n * n - n) / (n * float(m) ** n)
+                    * eigenterm(m, n) ** (k + 1) * sines)
     return AsymptoticEstimate(m, k, n, tuple(etas), tuple(lams), s, value)
+
+
+def _finite(m: int, k: int, compute) -> float:
+    """compute(), or TooLargeError when the estimate leaves the float range."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise TooLargeError(f"estimate for m={m}, k={k} exceeds the float range")
+    return value
 
 
 def eigenterm(m: int, n: int) -> float:
@@ -319,6 +340,8 @@ def aggregate_estimate(m: int, k: int, n: int | None = None) -> AggregateEstimat
         n = n_zero(m)
     if n <= 0 or n > m or n % 2:
         raise SectorError(f"aggregate needs even n in [2, {m}], got {n}")
+    base = eigenterm(m, n)
+    _finite(m, k, lambda: base ** (k + 1))  # fail before enumerating 2^m boundaries
     boundaries = [(sites, mult) for sites, mult in admissible_boundaries(m)
                   if len(sites) == n]
     total = 0.0
@@ -331,9 +354,9 @@ def aggregate_estimate(m: int, k: int, n: int | None = None) -> AggregateEstimat
                 lam_seq = shifted[n - s:] + shifted[:n - s]
                 est = krattenthaler_estimate(m, k, etas, lam_seq, s)
                 total += mult_l * mult_r * est.value
-    base = eigenterm(m, n)
     return AggregateEstimate(m, k, n, total, base,
-                             total / base**k, total / base ** (k + 1))
+                             _finite(m, k, lambda: total / base**k),
+                             _finite(m, k, lambda: total / base ** (k + 1)))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barreldimer import errors, graph, transfer
+from barreldimer import errors, graph, paths, transfer
 from conftest import punctured_cycle_pm_count
 
 
@@ -288,3 +290,37 @@ def test_apply_matches_manual_matvec():
         for target, entry in op.row(mask):
             manual[target] = manual.get(target, 0) + coeff * entry
     assert out == manual
+
+
+# ---------------------------------------------------------------------------
+# Rotation-class kernel against the unreduced operator and the walker DP
+# ---------------------------------------------------------------------------
+
+
+def unreduced_count(m: int, k: int) -> int:
+    op = transfer.build_transfer(m)
+    omega = transfer.boundary_vector(m)
+    vec = dict(omega)
+    for _ in range(k + 1):
+        vec = op.apply(vec)
+    return sum(w * vec.get(s, 0) for s, w in omega.items())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(3, 10), k=st.integers(0, 15))
+def test_class_kernel_matches_unreduced_operator_and_paths(m, k):
+    total = transfer.count_matchings_transfer(m, k)
+    assert total == unreduced_count(m, k)
+    assert total == paths.total_via_paths(m, k)
+    assert sum(transfer.sector_count(m, k, p) for p in range(m % 2, m + 1, 2)) == total
+
+    canon, orbit = transfer._necklaces(m)
+    assert all(m % size == 0 for size in orbit.values())
+    assert sum(orbit.values()) == 2 ** (m - 1)
+    for mask in range(1 << m):
+        if bin(mask).count("1") % 2 != m % 2:
+            assert canon[mask] == -1
+            continue
+        rotated = (mask << 1 | mask >> (m - 1)) & ((1 << m) - 1)
+        assert canon[mask] in orbit and canon[mask] <= mask
+        assert canon[rotated] == canon[mask]

@@ -51,7 +51,7 @@ from .errors import (
     StructuralViolationError,
     TooLargeError,
 )
-from .transfer import _monomial_rows, boundary_vector, mask_elements
+from .transfer import _row_monomials, boundary_vector, mask_elements
 
 VERIFY_M_CAP = 8
 RESIDUAL_TOL = 1e-9
@@ -94,6 +94,7 @@ class BetheVector:
 
 
 def _block_basis(m: int, p: int) -> tuple[int, ...]:
+    """Masks of cardinality p, ascending (= colex order on subsets)."""
     return tuple(mask for mask in range(1 << m) if bin(mask).count("1") == p)
 
 
@@ -188,11 +189,9 @@ def _dense_block(m: int, p: int, b: float, c: float) -> tuple[np.ndarray, tuple[
     basis = _block_basis(m, p)
     index = {mask: i for i, mask in enumerate(basis)}
     mat = np.zeros((len(basis), len(basis)))
-    rows = dict(_monomial_rows(m))
-    for mask in basis:
-        i = index[mask]
-        for t_mask, monos in rows[mask]:
-            mat[i, index[t_mask]] = sum(mono.evaluate(b, c) for mono in monos)
+    for i, mask in enumerate(basis):
+        for t_mask, mono in _row_monomials(m, mask):
+            mat[i, index[t_mask]] += mono.evaluate(b, c)
     return mat, basis
 
 
@@ -201,9 +200,12 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0, *,
     """Check every Bethe eigenpair of block B_p against the dense matrix.
 
     Residual ||B v - lambda v||_2 / ||v||_2 must stay below tol for all
-    C(m, p) selections, and the vectors must span the block.
+    C(m, p) selections, and the vectors must span the block.  A NaN
+    residual fails the check.
     """
     _check_sector(m, p)
+    if not (math.isfinite(b) and math.isfinite(c)):
+        raise InvalidParamsError(f"weights must be finite, got b={b}, c={c}")
     if m > m_cap:
         raise TooLargeError(f"m={m} exceeds dense verification cap {m_cap}")
     block, basis = _dense_block(m, p, b, c)
@@ -213,12 +215,10 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0, *,
 
     entries: list[SpectrumEntry] = []
     vectors = np.zeros((math.comb(m, p), len(basis)), dtype=complex)
-    worst = 0.0
     for row, sel in enumerate(selections_for_sector(m, p)):
         vec, lam = bethe_eigenpair(m, p, sel, b, c)
         v = np.array(vec.amplitudes, dtype=complex)
         residual = float(np.linalg.norm(block @ v - lam * v) / np.linalg.norm(v))
-        worst = max(worst, residual)
         vectors[row] = v
         entries.append(SpectrumEntry(
             selection=sel,
@@ -227,7 +227,8 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0, *,
             residual=residual,
             omega_overlap=complex(omega_vec @ v),
         ))
-    if worst > tol:
+    worst = float(np.max([e.residual for e in entries]))  # NaN propagates
+    if not worst <= tol:
         raise ResidualExceededError(
             f"sector (m={m}, p={p}, b={b}, c={c}): residual {worst:.3e} > {tol:.1e}")
     rank = int(np.linalg.matrix_rank(vectors))

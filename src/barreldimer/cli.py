@@ -229,9 +229,7 @@ def cmd_asymptotic(args) -> int:
     else:
         if args.eta is None or args.lam is None:
             raise BarrelError("either --aggregate or both --eta and --lambda are required")
-        eta = [float(x) for x in args.eta.split(",") if x != ""]
-        lam = [float(x) for x in args.lam.split(",") if x != ""]
-        est = paths.krattenthaler_estimate(args.m, args.k, eta, lam, args.s)
+        est = paths.krattenthaler_estimate(args.m, args.k, args.eta, args.lam, args.s)
         obj = {"m": args.m, "k": args.k, "n": est.n, "estimate": est.value}
     if args.format == "json":
         _emit_json(obj, _ASYMPTOTIC_SCHEMA, args.out)
@@ -333,6 +331,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _coordinates(text: str) -> list[float]:
+    """argparse type of --eta/--lambda: comma-separated numbers, empty items skipped."""
+    try:
+        return [float(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="barreldimer",
                      description="Count, diagonalize, and sample perfect matchings "
@@ -372,8 +379,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--aggregate", action="store_true",
                    help="sum the estimate over admissible boundaries and shifts")
     p.add_argument("--n", type=int, default=None, help="walker number (default n0)")
-    p.add_argument("--eta", help="comma-separated start coordinates (site/2)")
-    p.add_argument("--lambda", dest="lam", help="comma-separated end coordinates")
+    p.add_argument("--eta", type=_coordinates,
+                   help="comma-separated start coordinates (site/2)")
+    p.add_argument("--lambda", dest="lam", type=_coordinates,
+                   help="comma-separated end coordinates")
     p.add_argument("--s", type=int, default=0, help="shift class")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out")
@@ -418,9 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except BarrelError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -246,8 +246,8 @@ def _half_units(m: int, coords: Sequence[float], name: str) -> list[float]:
     out = []
     for x in coords:
         doubled = 2 * float(x)
-        if abs(doubled - round(doubled)) > 1e-9:
-            raise InvalidParamsError(f"{name} coordinate {x} is not a half-integer")
+        if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
+            raise InvalidParamsError(f"{name} coordinate {x} is not a finite half-integer")
         if not 0 <= float(x) < m:
             raise OrderingViolationError(f"{name} coordinate {x} outside [0, {m})")
         out.append(float(x))

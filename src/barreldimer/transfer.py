@@ -38,7 +38,8 @@ run on class representatives r (the least mask of each rotation orbit,
 At m = 14 this is 596 states and 21,388 nonzeros, against 8192 states
 and 355,322 nonzeros of the parity block of A; rows are generated for
 the representatives only.  The sampler keeps its suffix vectors on the
-classes too.  TransferOperator stays the unreduced reference.
+classes too.  TransferOperator is the unreduced operator, kept as the
+reference the tests check the reduced kernel against.
 
 Subsets of I_m = {0, .., m-1} are encoded as bitmasks (bit l set iff
 l in S); all counting is exact big-integer arithmetic.
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -105,9 +107,6 @@ class WeightMonomial:
 
     def evaluate(self, b: float, c: float) -> float:
         return b**self.b_exp * c**self.c_exp
-
-    def __str__(self) -> str:
-        return f"b^{self.b_exp}c^{self.c_exp}"
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +186,17 @@ def boundary_vector(m: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 def _row_monomials(m: int, s_mask: int) -> tuple[tuple[int, WeightMonomial], ...]:
-    """All (T, weight) with entry(S, T) != 0, built without scanning 2^m masks.
+    """Row S of the weighted operator: one (T, weight) per matching, by ascending T.
 
-    For S != 0 a compatible T removes exactly one odd position strictly
-    inside each cyclic gap between consecutive removed evens; the choice
-    at offset d in a gap of length g contributes c^d b^(g-1-d).
+    The package's single weighted row source, built without scanning 2^m
+    masks.  For S != 0 a compatible T removes exactly one odd position
+    strictly inside each cyclic gap between consecutive removed evens; the
+    choice at offset d in a gap of length g contributes c^d b^(g-1-d).
+    For S = 0 the intact C_{2m} has two matchings, so T = 0 is listed
+    twice, as b^m and as c^m.
     """
     if s_mask == 0:
-        return ((0, WeightMonomial(0, 0)),)  # caller special-cases the (0,0) binomial
+        return ((0, WeightMonomial(m, 0)), (0, WeightMonomial(0, m)))
     evens = mask_elements(s_mask)
     p = len(evens)
     gaps = [(evens[(a + 1) % p] - evens[a]) % m or m for a in range(p)]
@@ -215,12 +217,11 @@ def _row_monomials(m: int, s_mask: int) -> tuple[tuple[int, WeightMonomial], ...
 def _count_row(m: int, s_mask: int) -> tuple[tuple[int, int], ...]:
     """Row S of the integer operator, ((T, entry), ...) by ascending T.
 
-    The package's single source of count rows: the reduced kernel, the
-    sampler's draws, the unreduced table and the walker DP all read here.
+    entry(S, T) is the number of matchings _row_monomials lists for T.
+    The reduced kernel, the sampler's draws, the unreduced operator and
+    the walker DP all read their rows here.
     """
-    if s_mask == 0:
-        return ((0, 2),)
-    return tuple((t, 1) for t, _ in _row_monomials(m, s_mask))
+    return tuple(Counter(t for t, _ in _row_monomials(m, s_mask)).items())
 
 
 def _has_parity(m: int, mask: int) -> bool:
@@ -228,103 +229,40 @@ def _has_parity(m: int, mask: int) -> bool:
     return bin(mask).count("1") % 2 == m % 2
 
 
-@lru_cache(maxsize=None)
-def _monomial_rows(m: int) -> tuple[tuple[int, tuple[tuple[int, tuple[WeightMonomial, ...]], ...]], ...]:
-    rows = []
-    for s_mask in range(1 << m):
-        if s_mask == 0:
-            rows.append((0, ((0, (WeightMonomial(m, 0), WeightMonomial(0, m))),)))
-        else:
-            targets = tuple((t, (mono,)) for t, mono in _row_monomials(m, s_mask))
-            rows.append((s_mask, targets))
-    return tuple(rows)
-
-
 @dataclass(frozen=True)
 class TransferOperator:
-    """Sparse layer-transition operator on subset space.
+    """The unreduced integer operator A, materialized row by row.
 
-    mode "count" holds exact integers, "monomial" symbolic weights, and
-    "numeric" floats evaluated at fixed (b, c).  apply() computes
-    x -> A x with (A x)_S = sum_T entry(S, T) x_T.
+    rows holds (S, ((T, entry(S, T)), ...)) by ascending S; apply()
+    computes x -> A x on those rows.
     """
 
     m: int
-    mode: str
-    b: float | None
-    c: float | None
-    rows: tuple[tuple[int, tuple[tuple[int, object], ...]], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
-    def row(self, S: int | Iterable[int]):
-        s_mask = as_mask(self.m, S)
-        for mask, targets in self.rows:
-            if mask == s_mask:
-                return targets
-        return ()
-
-    def entry(self, S: int | Iterable[int], T: int | Iterable[int]):
-        t_mask = as_mask(self.m, T)
-        for mask, w in self.row(S):
-            if mask == t_mask:
-                return w
-        return 0 if self.mode != "monomial" else ()
+    def row(self, S: int | Iterable[int]) -> tuple[tuple[int, int], ...]:
+        return _count_row(self.m, as_mask(self.m, S))
 
     def apply(self, vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s_mask, targets in self.rows:
-            acc = 0
-            for t_mask, w in targets:
-                x = vec.get(t_mask)
-                if x:
-                    acc += w * x
-            if acc:
-                out[s_mask] = acc
-        return out
-
-    def block_masks(self, p: int) -> tuple[int, ...]:
-        """Masks of cardinality p, ascending (= colex order on subsets)."""
-        return tuple(mask for mask in range(1 << self.m) if bin(mask).count("1") == p)
-
-    def dump(self) -> str:
-        """Debug listing: one line per nonzero entry, subsets as bit strings."""
-        lines = []
-        for s_mask, targets in self.rows:
-            s_bits = format(s_mask, f"0{self.m}b")[::-1]
-            for t_mask, w in targets:
-                t_bits = format(t_mask, f"0{self.m}b")[::-1]
-                if self.mode == "monomial":
-                    w_str = "+".join(str(mono) for mono in w)
-                else:
-                    w_str = str(w)
-                lines.append(f"{s_bits} {t_bits} {w_str}")
-        return "\n".join(lines) + "\n"
+        return _apply_rows(self.rows, vec)
 
 
-def build_transfer(m: int, mode: str = "count", *, b: float = 1.0, c: float = 1.0,
-                   parity_only: bool = False, m_cap: int = TRANSFER_M_CAP) -> TransferOperator:
-    """Materialize the operator's sparse rows for one barrel width."""
+def build_transfer(m: int, mode: str = "count", *, parity_only: bool = False,
+                   m_cap: int = TRANSFER_M_CAP) -> TransferOperator:
+    """Materialize the operator's integer rows for one barrel width.
+
+    mode is kept for callers that pass "count" positionally; any other
+    value raises InvalidParamsError.
+    """
     if m < 3:
         raise InvalidParamsError(f"m must be >= 3, got {m}")
     if m > m_cap:
         raise TooLargeError(f"m={m} exceeds transfer cap {m_cap} (2^m states)")
-    if mode == "count":
-        rows = tuple((s, _count_row(m, s)) for s in range(1 << m)
-                     if not parity_only or _has_parity(m, s))
-        return TransferOperator(m, "count", None, None, rows)
-    if mode == "monomial":
-        rows = _monomial_rows(m)
-        if parity_only:
-            rows = tuple(r for r in rows if _has_parity(m, r[0]))
-        return TransferOperator(m, "monomial", None, None, rows)
-    if mode == "numeric":
-        num_rows = []
-        for s_mask, targets in _monomial_rows(m):
-            if parity_only and not _has_parity(m, s_mask):
-                continue
-            num_rows.append((s_mask, tuple(
-                (t, sum(mono.evaluate(b, c) for mono in monos)) for t, monos in targets)))
-        return TransferOperator(m, "numeric", b, c, tuple(num_rows))
-    raise InvalidParamsError(f"unknown transfer mode {mode!r}")
+    if mode != "count":
+        raise InvalidParamsError(f"unknown transfer mode {mode!r}")
+    rows = tuple((s, _count_row(m, s)) for s in range(1 << m)
+                 if not parity_only or _has_parity(m, s))
+    return TransferOperator(m, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +293,7 @@ def _necklaces(m: int) -> tuple[tuple[int, ...], Mapping[int, int]]:
 
 
 def _apply_rows(rows, vec: dict[int, int]) -> dict[int, int]:
+    """x -> A x over the given rows: (A x)_S = sum_T entry(S, T) x_T."""
     out: dict[int, int] = {}
     for s_mask, targets in rows:
         acc = 0

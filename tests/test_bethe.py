@@ -118,6 +118,26 @@ def test_verify_sector_rejects_large_m():
         bethe.verify_sector(9, 1)
 
 
+def test_verify_sector_rejects_non_finite_weights():
+    with pytest.raises(errors.InvalidParamsError):
+        bethe.verify_sector(4, 2, math.nan)
+    with pytest.raises(errors.InvalidParamsError):
+        bethe.verify_sector(4, 2, 1.0, math.inf)
+
+
+def test_verify_sector_nan_residual_fails(monkeypatch):
+    real = bethe._dense_block
+
+    def poisoned(m, p, b, c):
+        block, basis = real(m, p, b, c)
+        block[0, 0] = math.nan
+        return block, basis
+
+    monkeypatch.setattr(bethe, "_dense_block", poisoned)
+    with pytest.raises(errors.ResidualExceededError):
+        bethe.verify_sector(4, 2)
+
+
 # ---------------------------------------------------------------------------
 # Root-of-unity product identity
 # ---------------------------------------------------------------------------

@@ -143,6 +143,32 @@ def test_asymptotic_bad_ordering_exits_one():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("eta", ["inf", "nan", "1e308", "x"])
+def test_asymptotic_bad_coordinate_exits_one(eta):
+    proc = run_cli("asymptotic", "--m", "4", "--k", "3", "--eta", eta, "--lambda", "1")
+    assert proc.returncode == 1
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("weight", [["--b", "nan"], ["--b", "inf"], ["--c=-inf"]])
+def test_spectrum_non_finite_weight_exits_one(weight):
+    proc = run_cli("spectrum", "--m", "4", "--p", "2", *weight)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_bare_value_error_escapes_main(monkeypatch):
+    """Only BarrelErrors map to exit 1; any other ValueError is a bug and propagates."""
+    def broken(args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "cmd_growth", broken)
+    with pytest.raises(ValueError, match="bug"):
+        cli.main(["growth", "--m", "4"])
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

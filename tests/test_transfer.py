@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barreldimer import errors, graph, paths, transfer
+from barreldimer import bethe, errors, graph, paths, transfer
 from conftest import punctured_cycle_pm_count
 
 
@@ -135,12 +135,6 @@ def test_singleton_block_action_formula(m):
                 assert (mo.b_exp, mo.c_exp) == (m - 1 + lp - l, l - lp)
             else:
                 assert (mo.b_exp, mo.c_exp) == (lp - l - 1, m + l - lp)
-
-
-def test_numeric_operator_evaluates_weights():
-    op = transfer.build_transfer(4, "numeric", b=2.0, c=3.0)
-    empty = op.entry(0, 0)
-    assert empty == pytest.approx(2.0 ** 4 + 3.0 ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +262,43 @@ def test_sector_rejects_bad_parity_and_range():
 
 
 def test_block_masks_are_ascending_and_complete():
-    op = transfer.build_transfer(5)
-    masks = op.block_masks(2)
+    masks = bethe._block_basis(5, 2)
     assert list(masks) == sorted(masks)
     assert len(masks) == 10
     assert all(bin(x).count("1") == 2 for x in masks)
 
 
-def test_dump_is_deterministic():
-    op = transfer.build_transfer(4)
-    assert op.dump() == transfer.build_transfer(4).dump()
-    assert op.dump().strip()
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_row_generator_matches_entry_reference(m):
+    """Every production row equals the per-entry arc decomposition, matching by matching."""
+    for s_mask in range(1 << m):
+        reference = []
+        for t_mask in range(1 << m):
+            for mo in transfer.weighted_block_entry(m, s_mask, t_mask):
+                reference.append((t_mask, (mo.b_exp, mo.c_exp)))
+        row = transfer._row_monomials(m, s_mask)
+        assert [t for t, _ in row] == sorted(t for t, _ in row)
+        assert sorted((t, (mo.b_exp, mo.c_exp)) for t, mo in row) == sorted(reference)
+        counts = {t: len(transfer.weighted_block_entry(m, s_mask, t))
+                  for t in range(1 << m) if transfer.cycle_block_entry(m, s_mask, t)}
+        assert transfer._count_row(m, s_mask) == tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("m,parity_only,states,nnz", [
+    (8, True, 128, 1102), (8, False, 256, 2206), (10, True, 512, 7562), (10, False, 1024, 15126),
+])
+def test_build_transfer_table_shape(m, parity_only, states, nnz):
+    """The shape the benchmark's traced warm-up reads: (S, targets) pairs, their sizes."""
+    rows = transfer.build_transfer(m, "count", parity_only=parity_only).rows
+    assert len(rows) == states
+    assert sum(len(targets) for _, targets in rows) == nnz
+    for s_mask, targets in rows:
+        assert all(isinstance(t, int) and w > 0 for t, w in targets), s_mask
+
+
+def test_build_transfer_rejects_other_modes():
+    with pytest.raises(errors.InvalidParamsError):
+        transfer.build_transfer(4, "numeric")
 
 
 def test_apply_matches_manual_matvec():

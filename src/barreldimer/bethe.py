@@ -201,14 +201,19 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0, *,
 
     Residual ||B v - lambda v||_2 / ||v||_2 must stay below tol for all
     C(m, p) selections, and the vectors must span the block.  A NaN
-    residual fails the check.
+    residual fails the check; weights whose block entries overflow a float
+    raise InvalidParamsError.
     """
     _check_sector(m, p)
     if not (math.isfinite(b) and math.isfinite(c)):
         raise InvalidParamsError(f"weights must be finite, got b={b}, c={c}")
     if m > m_cap:
         raise TooLargeError(f"m={m} exceeds dense verification cap {m_cap}")
-    block, basis = _dense_block(m, p, b, c)
+    try:
+        block, basis = _dense_block(m, p, b, c)
+    except OverflowError:
+        raise InvalidParamsError(
+            f"weights b={b}, c={c} overflow a float in sector (m={m}, p={p})") from None
     roots = roots_for_sector(m, p)
     omega = boundary_vector(m)
     omega_vec = np.array([omega.get(mask, 0) for mask in basis], dtype=float)

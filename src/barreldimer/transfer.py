@@ -418,14 +418,21 @@ def _cycle_pairing(n: int, removed: tuple[int, ...], choice: int = 0) -> list[tu
     return pairs
 
 
-def _weighted_choice(rng: random.Random, items: list[tuple[int, int]]) -> int:
-    """Exact big-integer weighted choice from [(key, weight > 0), ...]."""
-    total = sum(w for _, w in items)
+def _prefix_choice(rng: random.Random, total: int, row: Iterable[tuple[int, int]],
+                   w: dict[int, int], canon: Sequence[int]) -> int:
+    """Draw T from row ((T, cnt), ...) with probability cnt * w[canon[T]] / total.
+
+    total must equal the sum of those weights; the row is scanned in its
+    own order only up to the first T whose running weight passes the
+    uniform draw, so no weighted list is built.
+    """
     r = rng.randrange(total)
-    for key, w in items:
-        if r < w:
-            return key
-        r -= w
+    for t, cnt in row:
+        x = w.get(canon[t])
+        if x:
+            r -= cnt * x
+            if r < 0:
+                return t
     raise StructuralViolationError("weighted choice fell past the total weight")
 
 
@@ -437,7 +444,9 @@ class UniformSampler:
     profile layer by layer with conditional probabilities proportional to
     exact integer completion counts, finally filling the forced cycle and
     cap matchings (the only free choices are the 2-way alternations at
-    empty layers of even m).
+    empty layers of even m).  Since W_{j-1} = A W_j, the weight of every
+    choice is already stored, W_{j-1}[S_{j-1}] (total for the first
+    layer), and each layer scans its row against it only up to the hit.
     """
 
     def __init__(self, m: int, k: int, *, m_cap: int = TRANSFER_M_CAP):
@@ -457,14 +466,12 @@ class UniformSampler:
         m, k = self.m, self.k
         g = self.graph
         canon = self._canon
-        w0 = self._suffix[0]
-        items = [(s, w * x) for s, w in self._omega if (x := w0.get(canon[s]))]
-        profile = [_weighted_choice(rng, items)]
+        suffix = self._suffix
+        profile = [_prefix_choice(rng, self.total, self._omega, suffix[0], canon)]
         for j in range(1, k + 2):
-            wj = self._suffix[j]
-            items = [(t, cnt * x) for t, cnt in _count_row(m, profile[-1])
-                     if (x := wj.get(canon[t]))]
-            profile.append(_weighted_choice(rng, items))
+            prev = profile[-1]
+            profile.append(_prefix_choice(rng, suffix[j - 1][canon[prev]],
+                                          _count_row(m, prev), suffix[j], canon))
 
         edges: set[int] = set()
         for j, s_mask in enumerate(profile):

@@ -125,6 +125,14 @@ def test_verify_sector_rejects_non_finite_weights():
         bethe.verify_sector(4, 2, 1.0, math.inf)
 
 
+def test_verify_sector_rejects_overflowing_weights():
+    """b^2 = 1e400 is no float; the block must not leak an OverflowError."""
+    with pytest.raises(errors.InvalidParamsError):
+        bethe.verify_sector(4, 2, 1e200)
+    with pytest.raises(errors.InvalidParamsError):
+        bethe.verify_sector(4, 2, 1.0, 1e200)
+
+
 def test_verify_sector_nan_residual_fails(monkeypatch):
     real = bethe._dense_block
 

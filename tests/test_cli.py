@@ -13,9 +13,10 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import jsonschema
 import pytest
 
-from barreldimer import cli, transfer
+from barreldimer import cli, graph, transfer
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -159,6 +160,14 @@ def test_spectrum_non_finite_weight_exits_one(weight):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("weight", ["--b", "--c"])
+def test_spectrum_overflowing_weight_exits_one(weight):
+    proc = run_cli("spectrum", "--m", "4", "--p", "2", weight, "1e200")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bare_value_error_escapes_main(monkeypatch):
     """Only BarrelErrors map to exit 1; any other ValueError is a bug and propagates."""
     def broken(args):
@@ -245,6 +254,39 @@ def test_sample_bytes_are_pinned(tmp_path):
     assert rc == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "a871967d76e0e9bd35b2b6eab2f08d6660fc2e3def2beb52785cd9cdf2413ba8"
+
+
+def test_sample_mid_size_bytes_are_pinned(tmp_path):
+    """A mid-size run at m = 12, pinned to the digest of the list-and-sum draw."""
+    out = tmp_path / "s.json"
+    rc = cli.main(["sample", "--m", "12", "--k", "40", "--samples", "20", "--seed", "1",
+                   "--format", "json", "--out", str(out)])
+    assert rc == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "710694767a255c8801be8ab26bd72eb2d6264b3f8fce9ffa0d6b045ea09ed5d0"
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "3", None])
+def test_sample_rejects_non_int_ids(monkeypatch, capsys, tmp_path, bad):
+    """Every id must be exactly an int; a bad one exits 1 before anything is written."""
+    monkeypatch.setattr(graph.Matching, "sorted_ids", lambda self: (0, bad, 7))
+    argv = ["sample", "--m", "3", "--k", "1", "--samples", "3", "--format", "json"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    out = tmp_path / "s.json"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sample_schema_keeps_its_envelope():
+    good = {"m": 3, "k": 1, "seed": 0, "samples": [[0, 1], []]}
+    jsonschema.validate(good, cli._SAMPLE_SCHEMA)
+    missing = {key: v for key, v in good.items() if key != "samples"}
+    for bad in (missing, {**good, "samples": [[0, 1], 5]}, {**good, "samples": 5}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, cli._SAMPLE_SCHEMA)
 
 
 def test_sample_byte_determinism():

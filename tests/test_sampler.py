@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,54 @@ from scipy.stats import chi2
 
 from barreldimer import graph, transfer
 from barreldimer.validate import SAMPLER_SEED
+
+
+def _list_weighted_choice(rng, items):
+    total = sum(w for _, w in items)
+    r = rng.randrange(total)
+    for key, w in items:
+        if r < w:
+            return key
+        r -= w
+    raise AssertionError("weighted choice fell past the total weight")
+
+
+def _list_and_sum_draw(sampler, rng):
+    """Reference draw returning (profile masks, Matching).
+
+    Each layer builds its whole weighted row and sums it before choosing;
+    the fill that follows is the sampler's own, step for step.
+    """
+    m, k, g = sampler.m, sampler.k, sampler.graph
+    canon = sampler._canon
+    w0 = sampler._suffix[0]
+    items = [(s, w * x) for s, w in sampler._omega if (x := w0.get(canon[s]))]
+    profile = [_list_weighted_choice(rng, items)]
+    for j in range(1, k + 2):
+        wj = sampler._suffix[j]
+        items = [(t, cnt * x) for t, cnt in transfer._count_row(m, profile[-1])
+                 if (x := wj.get(canon[t]))]
+        profile.append(_list_weighted_choice(rng, items))
+    elements = transfer.mask_elements
+    edges = set()
+    for j, s_mask in enumerate(profile):
+        for l in elements(s_mask):
+            edges.add(g.horizontal_ids[(j, l)])
+    left = elements(profile[0])
+    choice = rng.randrange(2) if not left else 0
+    for x, _y in transfer._cycle_pairing(m, left, choice):
+        edges.add(g.cap_ids[("L", x)])
+    right = elements(profile[-1])
+    choice = rng.randrange(2) if not right else 0
+    for x, _y in transfer._cycle_pairing(m, right, choice):
+        edges.add(g.cap_ids[("R", x)])
+    for j in range(1, k + 2):
+        removed = tuple(sorted([2 * l for l in elements(profile[j - 1])]
+                               + [2 * l + 1 for l in elements(profile[j])]))
+        choice = rng.randrange(2) if not removed else 0
+        for x, _y in transfer._cycle_pairing(2 * m, removed, choice):
+            edges.add(g.cycle_ids[(j, x)])
+    return profile, graph.Matching(frozenset(edges))
 
 
 @pytest.mark.parametrize("m,k", [(3, 0), (3, 2), (4, 2), (5, 1), (6, 3)])
@@ -65,3 +114,38 @@ def test_sector_frequency_tracks_exact_ratio_f40():
     p = float(exact)
     sigma = (p * (1 - p) * n) ** 0.5
     assert abs(hits - p * n) < 5 * sigma
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_suffix_rows_sum_to_stored_totals(m, k):
+    """The totals the prefix scan draws against: W_{j-1}[S] = sum_T A[S, T] W_j[T]."""
+    sampler = transfer.UniformSampler(m, k)
+    canon, suffix = sampler._canon, sampler._suffix
+    omega = transfer.boundary_vector(m)
+    assert sum(w * suffix[0].get(canon[s], 0) for s, w in omega.items()) == sampler.total
+    for s_mask in range(1 << m):
+        if canon[s_mask] < 0:
+            continue
+        row = transfer._count_row(m, s_mask)
+        for j in range(1, k + 2):
+            got = sum(cnt * suffix[j].get(canon[t], 0) for t, cnt in row)
+            assert got == suffix[j - 1].get(canon[s_mask], 0), (s_mask, j)
+
+
+@pytest.mark.parametrize("m,ks", [(3, (0, 1, 6)), (4, (0, 2, 5)), (5, (0, 1, 4)),
+                                  (6, (0, 3)), (7, (1, 2)), (8, (0, 2)), (9, (0, 1))])
+def test_prefix_draw_matches_list_and_sum_draw(m, ks):
+    """Same profiles, matchings and RNG stream as the list-and-sum draw."""
+    for k in ks:
+        sampler = transfer.UniformSampler(m, k)
+        g = sampler.graph
+        for seed in (0, 1, 20260814):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                got = sampler.draw(new_rng)
+                profile, want = _list_and_sum_draw(sampler, old_rng)
+                layers = graph.horizontal_profile(g, got).layers
+                assert layers == tuple(frozenset(transfer.mask_elements(s)) for s in profile)
+                assert got.sorted_ids() == want.sorted_ids()
+                assert new_rng.getstate() == old_rng.getstate()

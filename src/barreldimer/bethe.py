@@ -93,6 +93,7 @@ class BetheVector:
     amplitudes: tuple[complex, ...]
 
 
+@lru_cache(maxsize=64)
 def _block_basis(m: int, p: int) -> tuple[int, ...]:
     """Masks of cardinality p, ascending (= colex order on subsets)."""
     return tuple(mask for mask in range(1 << m) if bin(mask).count("1") == p)
@@ -120,11 +121,19 @@ def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
         raise DegenerateRootsError(f"repeated root indices in {sel}")
     if sel and not (0 <= sel[0] and sel[-1] < m):
         raise SectorError(f"root indices {sel} outside [0, {m})")
+    lam = complementary_eigenvalue(m, p, sel, b, c)
+    return BetheVector(m, p, sel, _block_basis(m, p), _amplitudes(m, p, sel)), lam
+
+
+# verify_sector draws several (b, c) per sector in a row and reuses each of
+# its C(m, p) <= 70 selections (m <= VERIFY_M_CAP) per draw.
+@lru_cache(maxsize=256)
+def _amplitudes(m: int, p: int, sel: tuple[int, ...]) -> tuple[complex, ...]:
+    """det(z_{R_i}^{l_j}) for every basis subset; sel is sorted and valid."""
     roots = roots_for_sector(m, p)
     zs = [roots[r] for r in sel]
-    basis = _block_basis(m, p)
     amps: list[complex] = []
-    for mask in basis:
+    for mask in _block_basis(m, p):
         ls = mask_elements(mask)
         if p == 0:
             amps.append(1.0 + 0.0j)
@@ -133,8 +142,7 @@ def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
         else:
             mat = np.array([[z ** l for l in ls] for z in zs], dtype=complex)
             amps.append(complex(np.linalg.det(mat)))
-    lam = complementary_eigenvalue(m, p, sel, b, c)
-    return BetheVector(m, p, sel, basis, tuple(amps)), lam
+    return tuple(amps)
 
 
 def eigenvalue_direct(m: int, p: int, selection, b: float, c: float) -> complex:

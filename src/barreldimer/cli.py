@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: count, growth, spectrum, asymptotic, validate, sample,
-render, bench.  Exit codes: 0 success, 1 usage or parameter errors,
+render.  Exit codes: 0 success, 1 usage or parameter errors,
 2 validation failure (cross-method disagreement or failed criteria).
 Counts appear in JSON as decimal strings so arbitrary precision survives
 serialization; identical flags and seed produce byte-identical output.
@@ -15,7 +15,6 @@ import io
 import json
 import random
 import sys
-import time
 
 import jsonschema
 
@@ -306,33 +305,6 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-_BENCH_GRID: tuple[tuple[str, int, int], ...] = (
-    ("transfer", 3, 1), ("brute", 3, 1), ("paths", 3, 1),
-    ("transfer", 4, 1), ("brute", 4, 1), ("paths", 4, 1),
-    ("transfer", 5, 1), ("brute", 5, 1), ("paths", 5, 1),
-    ("transfer", 6, 1), ("brute", 6, 1), ("paths", 6, 1),
-    ("transfer", 6, 3), ("brute", 6, 3),
-    ("transfer", 6, 50), ("paths", 6, 50),
-)
-
-
-def cmd_bench(args) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["method", "m", "k", "millis"])
-    for method, m, k in _BENCH_GRID:
-        t0 = time.perf_counter()
-        if method == "transfer":
-            transfer.count_matchings_transfer(m, k)
-        elif method == "brute":
-            count_matchings_brute(build_graph(BarrelParams(m, k)))
-        else:
-            paths.total_via_paths(m, k)
-        writer.writerow([method, m, k, f"{(time.perf_counter() - t0) * 1000:.3f}"])
-    _write_out(buf.getvalue(), args.out)
-    return EXIT_OK
-
-
 def _coordinates(text: str) -> list[float]:
     """argparse type of --eta/--lambda: comma-separated numbers, empty items skipped."""
     try:
@@ -413,10 +385,6 @@ def _build_parser() -> _Parser:
                    help="render the i-th matching in enumeration order")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_render)
-
-    p = sub.add_parser("bench", help="timing grid as CSV (method,m,k,millis)")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

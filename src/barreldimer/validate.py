@@ -15,9 +15,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.stats import chi2
-
 from . import bethe, entropy, paths, transfer
+from .errors import InvalidParamsError
 from .graph import BarrelParams, build_graph, count_matchings_brute, validate_structure
 
 SAMPLER_SEED = 20260814
@@ -190,6 +189,41 @@ def _check_entropy(fast: bool) -> tuple[bool, str]:
     return True, f"routes agree to {gap:.2e}; h(998..1000) within 1e-3 of the limit"
 
 
+def _chi2_quantile(q: float, dof: int) -> float:
+    """Inverse CDF of the chi-square distribution with dof degrees of freedom.
+
+    The CDF is the regularized lower incomplete gamma P(dof/2, x/2), summed
+    from its power series, whose terms are all positive, so the sum keeps
+    full relative precision.  Bisection then runs until the bracket holds
+    two adjacent doubles.
+    """
+    if not 0.0 < q < 1.0 or dof < 1:
+        raise InvalidParamsError(f"need 0 < q < 1 and dof >= 1, got q={q}, dof={dof}")
+    a = dof / 2
+
+    def cdf(x: float) -> float:
+        h = x / 2
+        term = total = 1.0
+        n = 0
+        while term > total * 1e-17:
+            n += 1
+            term *= h / (a + n)
+            total += term
+        return math.exp(a * math.log(h) - h - math.lgamma(a + 1)) * total
+
+    lo, hi = 0.0, float(dof)
+    while cdf(hi) < q:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        if cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _check_sampler(fast: bool) -> tuple[bool, str]:
     n_samples = 28 * (100 if fast else 1000)
     sampler = transfer.UniformSampler(3, 1)
@@ -204,7 +238,7 @@ def _check_sampler(fast: bool) -> tuple[bool, str]:
         return False, f"only {len(freqs)} of 28 matchings observed"
     expected = n_samples / 28
     stat = sum((obs - expected) ** 2 / expected for obs in freqs.values())
-    critical = float(chi2.ppf(CHI2_QUANTILE, 27))
+    critical = _chi2_quantile(CHI2_QUANTILE, 27)
     if stat > critical:
         return False, f"chi-square {stat:.2f} > {critical:.2f} (27 dof, q={CHI2_QUANTILE})"
     return True, f"chi-square {stat:.2f} < {critical:.2f} on {n_samples} seeded samples"
@@ -229,7 +263,7 @@ CRITERIA: tuple[tuple[int, str, object], ...] = (
 
 def run_criteria(level: str = "fast") -> list[CriterionResult]:
     if level not in ("fast", "full"):
-        raise ValueError(f"unknown validation level {level!r}")
+        raise InvalidParamsError(f"unknown validation level {level!r}")
     fast = level == "fast"
     results = []
     for index, name, fn in CRITERIA:

@@ -339,20 +339,3 @@ def test_render_deterministic_bytes(tmp_path):
     for out in (out1, out2):
         assert cli.main(["render", "--m", "4", "--k", "1", "--what", "tiling", "--seed", "7", "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def test_bench_csv_schema_and_sanity(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert cli.main(["bench", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "method,m,k,millis"
-    rows = [ln.split(",") for ln in lines[1:]]
-    assert all(len(r) == 4 for r in rows)
-    millis = {(r[0], int(r[1]), int(r[2])): float(r[3]) for r in rows}
-    assert millis[("brute", 6, 3)] > millis[("transfer", 6, 3)]
-    assert ("transfer", 6, 50) in millis

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from scipy.integrate import quad
 
 from barreldimer import entropy, errors
 
@@ -26,6 +27,20 @@ def test_entropy_closed_values(m, closed):
 
 def test_quadrature_matches_reference_constant():
     assert entropy.limit_entropy_quadrature() == pytest.approx(H_REF, abs=1e-8)
+
+
+def test_gauss_legendre_matches_adaptive_quadrature():
+    def smooth(t):
+        return 0.0 if t == 0.0 else math.log(math.sin(t) / t)
+
+    want, _ = quad(smooth, 0.0, math.pi / 3, epsabs=1e-15, epsrel=1e-14)
+    got = entropy._smooth_integral(entropy.QUADRATURE_NODES)
+    assert abs(got - want) <= 1e-14
+
+
+def test_quadrature_error_estimate_above_tol_raises():
+    with pytest.raises(errors.ToleranceError):
+        entropy.limit_entropy_quadrature(tol=1e-30)
 
 
 def test_series_matches_quadrature():

@@ -25,17 +25,13 @@ from .graph import (
     validate_structure,
 )
 from .transfer import (
-    TransferOperator,
     UniformSampler,
     WeightMonomial,
     boundary_vector,
-    build_transfer,
     closed_form_345,
     count_matchings_transfer,
-    cycle_block_entry,
     sample_uniform,
     sector_count,
-    weighted_block_entry,
 )
 from .bethe import (
     BetheVector,

@@ -172,16 +172,6 @@ class BarrelGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    # canonical vertex ids
-    def u_left(self, l: int) -> int:
-        return l % self.m
-
-    def w(self, j: int, i: int) -> int:
-        return self.m + (j - 1) * 2 * self.m + (i % (2 * self.m))
-
-    def u_right(self, l: int) -> int:
-        return self.m + (self.k + 1) * 2 * self.m + (l % self.m)
-
 
 def build_graph(params: BarrelParams) -> BarrelGraph:
     """Build F(m, k) with the canonical labeling and edge order."""

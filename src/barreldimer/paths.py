@@ -8,9 +8,11 @@ layer) the walkers occupy sites
 
 the "holes" not used by horizontal edges; the matched big-cycle edges
 between layers move every walker one site up or down, no two walkers
-colliding.  With this drift embedding every transition weight equals a
-punctured-cycle matching count, so the walk reuses the transfer entries
-as its single source of adjacency truth.
+colliding.  The exact DP counts in the co-moving frame, where slot l
+holds the walker at site 2l + t: a walker stepping up keeps its slot,
+one stepping down takes slot l - 1 (mod m), and no two may share a slot.
+A state is an m-bit slot mask, and each step is generated from these
+moves alone, independently of the transfer operator's rows.
 
 Cap completions enter as boundary multiplicities: an admissible start or
 end configuration is the complement of a cap-matchable subset, weighted
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bethe import lambda_max_sector, n_zero
@@ -50,14 +51,12 @@ from .errors import (
 )
 from .graph import (
     EDGE_HORIZONTAL,
-    EDGE_UP,
     BarrelGraph,
     BarrelParams,
     Matching,
     horizontal_profile,
 )
-from . import transfer
-from .transfer import TRANSFER_M_CAP, boundary_vector, mask_elements
+from .transfer import TRANSFER_M_CAP, boundary_vector
 
 LEADING_TOL = 1e-12
 
@@ -128,11 +127,15 @@ def admissible_boundaries(m: int) -> tuple[tuple[frozenset[int], int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact DP over site configurations
+# exact DP over walker moves
 # ---------------------------------------------------------------------------
 
-def _site_mask(m: int, sites: Iterable[int]) -> tuple[int, int]:
-    """Validate a parity-homogeneous site set; return (mask, parity)."""
+def _site_mask(m: int, sites: Iterable[int], t: int = 0) -> tuple[int, int]:
+    """Validate a parity-homogeneous site set read at time t; return (slots, parity).
+
+    Slot l holds site 2l + t (mod 2m), or 2l + t + 1 when the sites have
+    the other parity.
+    """
     sites = sorted(set(sites))
     mask = 0
     parities = set()
@@ -140,47 +143,52 @@ def _site_mask(m: int, sites: Iterable[int]) -> tuple[int, int]:
         if not isinstance(s, int) or not 0 <= s < 2 * m:
             raise InvalidParamsError(f"site {s!r} outside [0, {2 * m})")
         parities.add(s % 2)
-        mask |= 1 << s
+        mask |= 1 << ((s - t) % (2 * m) // 2)
     if len(parities) > 1:
         raise ParityViolationError(f"sites {sites} mix parities")
     parity = parities.pop() if parities else 0
     return mask, parity
 
 
-def _transfer_rows(m: int) -> list[tuple[tuple[int, int], ...]]:
-    """The transfer's count rows indexed by mask, read once per DP."""
-    return [transfer._count_row(m, s) for s in range(1 << m)]
+def _moves(m: int, slots: int) -> tuple[int, ...]:
+    """The slot masks one step reaches from `slots`, one per admissible move set.
 
-
-def _step_vec(m: int, rows, vec: dict[int, int], parity: int) -> dict[int, int]:
-    """One time step of the walker DP; states are site bitmasks of one parity.
-
-    Transition weights are the transfer entries evaluated on complements
-    (rows from _transfer_rows), after rotating odd-parity states down to
-    the even sublattice.
+    With every slot full only "all up" and "all down" remain, so the full
+    mask is listed twice.  Otherwise the scan starts at an empty slot, so
+    no run wraps past it: the run above an empty slot sends a bottom part
+    of itself down, which empties one slot of the span (empty slot + run).
     """
-    n_sites = 2 * m
     full = (1 << m) - 1
-    out: dict[int, int] = {}
-    for state, weight in vec.items():
-        if parity == 1:
-            state_even = ((state >> 1) | ((state & 1) << (n_sites - 1)))
-        else:
-            state_even = state
-        holes = 0
-        for l in range(m):
-            if state_even >> (2 * l) & 1:
-                holes |= 1 << l
-        s_mask = full ^ holes
-        for t_mask, cnt in rows[s_mask]:
-            succ = 0
-            for l in range(m):
-                if not t_mask >> l & 1:
-                    succ |= 1 << (2 * l + 1)
-            if parity == 1:
-                succ = ((succ << 1) | (succ >> (n_sites - 1))) & ((1 << n_sites) - 1)
-            out[succ] = out.get(succ, 0) + weight * cnt
-    return out
+    if slots == full:
+        return (full, full)
+    low = next(l for l in range(m) if not slots >> l & 1)
+    succ = [0]
+    span = [1 << low]
+    for j in range(1, m + 1):
+        bit = 1 << ((low + j) % m)
+        if j < m and slots & bit:
+            span.append(bit)
+            continue
+        if len(span) > 1:
+            whole = sum(span)
+            succ = [s | (whole ^ b) for s in succ for b in span]
+        span = [bit]
+    return tuple(succ)
+
+
+def _walk(m: int, k: int, vec: dict[int, int]) -> dict[int, int]:
+    """Advance weighted slot masks k+1 steps, generating each state's moves once."""
+    succ: dict[int, tuple[int, ...]] = {}
+    for _ in range(k + 1):
+        out: dict[int, int] = {}
+        for slots, weight in vec.items():
+            targets = succ.get(slots)
+            if targets is None:
+                targets = succ[slots] = _moves(m, slots)
+            for t in targets:
+                out[t] = out.get(t, 0) + weight
+        vec = out
+    return vec
 
 
 def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int], *,
@@ -194,37 +202,27 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int], *,
     BarrelParams(m, k)
     if m > m_cap:
         raise TooLargeError(f"m={m} exceeds path DP cap {m_cap}")
-    start_mask, parity = _site_mask(m, start)
-    end_mask, _ = _site_mask(m, end)
-    if bin(start_mask).count("1") != bin(end_mask).count("1"):
-        raise SizeMismatchError(
-            f"start has {bin(start_mask).count('1')} walkers, end {bin(end_mask).count('1')}")
-    rows = _transfer_rows(m)
-    vec = {start_mask: 1}
-    for t in range(k + 1):
-        vec = _step_vec(m, rows, vec, (parity + t) % 2)
-    return vec.get(end_mask, 0)
+    start_slots, parity = _site_mask(m, start)
+    end_slots, end_parity = _site_mask(m, end, parity + k + 1)
+    n_start, n_end = bin(start_slots).count("1"), bin(end_slots).count("1")
+    if n_start != n_end:
+        raise SizeMismatchError(f"start has {n_start} walkers, end {n_end}")
+    if n_end and end_parity != (parity + k + 1) % 2:
+        return 0
+    return _walk(m, k, {start_slots: 1}).get(end_slots, 0)
 
 
 def total_via_paths(m: int, k: int, *, m_cap: int = TRANSFER_M_CAP) -> int:
-    """Phi(F(m, k)) as a boundary-weighted sum over all walker families."""
+    """Phi(F(m, k)) as a boundary-weighted sum over all walker families.
+
+    In the co-moving frame the start and end boundaries share one slot vector.
+    """
     BarrelParams(m, k)
     if m > m_cap:
         raise TooLargeError(f"m={m} exceeds path DP cap {m_cap}")
-    n_sites = 2 * m
-    vec: dict[int, int] = {}
-    for sites, mult in admissible_boundaries(m):
-        mask, _ = _site_mask(m, sites)
-        vec[mask] = vec.get(mask, 0) + mult
-    rows = _transfer_rows(m)
-    for t in range(k + 1):
-        vec = _step_vec(m, rows, vec, t % 2)
-    total = 0
-    for sites, mult in admissible_boundaries(m):
-        shifted = [(s + k + 1) % n_sites for s in sites]
-        mask, _ = _site_mask(m, shifted)
-        total += mult * vec.get(mask, 0)
-    return total
+    boundary = {_site_mask(m, sites)[0]: mult for sites, mult in admissible_boundaries(m)}
+    vec = _walk(m, k, boundary)
+    return sum(mult * vec.get(slots, 0) for slots, mult in boundary.items())
 
 
 # ---------------------------------------------------------------------------

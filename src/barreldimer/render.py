@@ -13,7 +13,6 @@ from .errors import InvalidParamsError
 from .graph import (
     EDGE_HORIZONTAL,
     EDGE_MGON,
-    EDGE_UP,
     BarrelGraph,
     Matching,
     matching_to_tiling,

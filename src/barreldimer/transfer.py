@@ -218,8 +218,8 @@ def _count_row(m: int, s_mask: int) -> tuple[tuple[int, int], ...]:
     """Row S of the integer operator, ((T, entry), ...) by ascending T.
 
     entry(S, T) is the number of matchings _row_monomials lists for T.
-    The reduced kernel, the sampler's draws, the unreduced operator and
-    the walker DP all read their rows here.
+    The reduced kernel, the sampler's draws and the unreduced operator
+    read their rows here; the walker DP in paths does not.
     """
     return tuple(Counter(t for t, _ in _row_monomials(m, s_mask)).items())
 

@@ -218,7 +218,7 @@ def test_validate_detects_corrupted_transfer_row(monkeypatch, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is False
     failed = {c["name"] for c in doc["criteria"] if not c["passed"]}
-    assert {"golden-closed-forms", "brute-vs-transfer"} <= failed
+    assert {"golden-closed-forms", "brute-vs-transfer", "paths-vs-transfer"} <= failed
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,37 @@ def test_dp_out_of_range_site_raises():
         paths.path_dp_count(4, 1, {0, 8}, {1, 3})
 
 
+def test_dp_without_walkers_counts_one_family():
+    assert paths.path_dp_count(4, 0, set(), set()) == 1
+    assert paths.path_dp_count(4, 1, set(), set()) == 1
+
+
+def test_dp_odd_parity_start():
+    assert paths.path_dp_count(3, 0, {1, 3}, {2, 4}) == 1
+    assert paths.path_dp_count(6, 4, {1, 3, 7}, {0, 4, 8}) == 720
+
+
+def test_dp_end_of_wrong_parity_returns_zero():
+    assert paths.path_dp_count(5, 3, {1, 5}, {0, 4}) == 0
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_walker_moves_equal_transfer_rows_on_complements(m):
+    """One step of walker moves from slot mask full ^ S reaches full ^ T entry(S, T) ways."""
+    full = (1 << m) - 1
+    for s_mask in range(1 << m):
+        got = Counter(paths._moves(m, full ^ s_mask))
+        assert got == {full ^ t: entry for t, entry in transfer._count_row(m, s_mask)}, s_mask
+
+
+def test_total_via_paths_reads_no_transfer_rows(monkeypatch):
+    def unavailable(m, s_mask):
+        raise AssertionError("the walker DP read a transfer row")
+
+    monkeypatch.setattr(transfer, "_count_row", unavailable)
+    assert paths.total_via_paths(5, 3) == transfer.closed_form_345(5, 3)
+
+
 def test_dp_growth_rate_matches_growth_constant():
     vals = {k: paths.path_dp_count(4, k, {0, 2}, {0, 2}) for k in (37, 39, 41)}
     target = math.log(2.0 + SQRT2)

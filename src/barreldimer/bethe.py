@@ -203,20 +203,19 @@ def _dense_block(m: int, p: int, b: float, c: float) -> tuple[np.ndarray, tuple[
     return mat, basis
 
 
-def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0, *,
-                  tol: float = RESIDUAL_TOL, m_cap: int = VERIFY_M_CAP) -> SectorSpectrum:
+def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpectrum:
     """Check every Bethe eigenpair of block B_p against the dense matrix.
 
-    Residual ||B v - lambda v||_2 / ||v||_2 must stay below tol for all
-    C(m, p) selections, and the vectors must span the block.  A NaN
+    Residual ||B v - lambda v||_2 / ||v||_2 must stay below RESIDUAL_TOL
+    for all C(m, p) selections, and the vectors must span the block.  A NaN
     residual fails the check; weights whose block entries overflow a float
     raise InvalidParamsError.
     """
     _check_sector(m, p)
     if not (math.isfinite(b) and math.isfinite(c)):
         raise InvalidParamsError(f"weights must be finite, got b={b}, c={c}")
-    if m > m_cap:
-        raise TooLargeError(f"m={m} exceeds dense verification cap {m_cap}")
+    if m > VERIFY_M_CAP:
+        raise TooLargeError(f"m={m} exceeds dense verification cap {VERIFY_M_CAP}")
     try:
         block, basis = _dense_block(m, p, b, c)
     except OverflowError:
@@ -241,9 +240,9 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0, *,
             omega_overlap=complex(omega_vec @ v),
         ))
     worst = float(np.max([e.residual for e in entries]))  # NaN propagates
-    if not worst <= tol:
+    if not worst <= RESIDUAL_TOL:
         raise ResidualExceededError(
-            f"sector (m={m}, p={p}, b={b}, c={c}): residual {worst:.3e} > {tol:.1e}")
+            f"sector (m={m}, p={p}, b={b}, c={c}): residual {worst:.3e} > {RESIDUAL_TOL:.1e}")
     rank = int(np.linalg.matrix_rank(vectors))
     if rank != math.comb(m, p):
         raise RankDeficientError(
@@ -328,7 +327,7 @@ class PerronReport:
     eigenvalue: float
 
 
-def perron_positivity_check(m: int, *, tol: float = RESIDUAL_TOL) -> PerronReport:
+def perron_positivity_check(m: int) -> PerronReport:
     """Check that the dominant-sector top eigenvector is strictly positive.
 
     The raw determinant amplitudes carry a constant phase; it is divided
@@ -345,7 +344,7 @@ def perron_positivity_check(m: int, *, tol: float = RESIDUAL_TOL) -> PerronRepor
     normalized = amps / pivot
     max_imag = float(np.max(np.abs(normalized.imag)))
     scale = float(np.max(np.abs(normalized)))
-    if max_imag > tol * scale:
+    if max_imag > RESIDUAL_TOL * scale:
         raise PositivityViolationError(
             f"m={m}: dephased top eigenvector has imaginary part {max_imag:.3e}")
     reals = normalized.real
@@ -353,6 +352,6 @@ def perron_positivity_check(m: int, *, tol: float = RESIDUAL_TOL) -> PerronRepor
     if min_amp <= 0:
         raise PositivityViolationError(
             f"m={m}: top eigenvector has nonpositive amplitude {min_amp:.3e}")
-    if abs(lam.imag) > tol * abs(lam):
+    if abs(lam.imag) > RESIDUAL_TOL * abs(lam):
         raise PositivityViolationError(f"m={m}: top eigenvalue not real: {lam!r}")
     return PerronReport(m, p0, sel, min_amp, max_imag, float(lam.real))

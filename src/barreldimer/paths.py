@@ -30,6 +30,10 @@ walker coordinates eta_j = site/2 at time 0 and lambda_j at time k+1,
 
 summed over the n cyclic shift classes of the end configuration.  The
 eigenvalue base equals the sector maximum lambda_max(m - n) exactly.
+Each sine product sees only pairwise distances mod m, which the drift and
+the shifts keep, so every shift class gives the same term, and summed over
+start and end boundaries B with n walkers the estimate is a square:
+2^(n^2-n) / m^n * base^(k+1) * (sum_B mult_B prod_{h<t} |sin(pi (x_h - x_t) / m)|)^2.
 """
 
 from __future__ import annotations
@@ -191,8 +195,7 @@ def _walk(m: int, k: int, vec: dict[int, int]) -> dict[int, int]:
     return vec
 
 
-def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int], *,
-                  m_cap: int = TRANSFER_M_CAP) -> int:
+def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int]) -> int:
     """Exact number of non-intersecting walker families from start to end.
 
     start is read at time 0 and end at time k+1, both as plain site sets;
@@ -200,8 +203,8 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int], *,
     relative to start, and the count is 0 whenever that fails.
     """
     BarrelParams(m, k)
-    if m > m_cap:
-        raise TooLargeError(f"m={m} exceeds path DP cap {m_cap}")
+    if m > TRANSFER_M_CAP:
+        raise TooLargeError(f"m={m} exceeds path DP cap {TRANSFER_M_CAP}")
     start_slots, parity = _site_mask(m, start)
     end_slots, end_parity = _site_mask(m, end, parity + k + 1)
     n_start, n_end = bin(start_slots).count("1"), bin(end_slots).count("1")
@@ -212,14 +215,14 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int], *,
     return _walk(m, k, {start_slots: 1}).get(end_slots, 0)
 
 
-def total_via_paths(m: int, k: int, *, m_cap: int = TRANSFER_M_CAP) -> int:
+def total_via_paths(m: int, k: int) -> int:
     """Phi(F(m, k)) as a boundary-weighted sum over all walker families.
 
     In the co-moving frame the start and end boundaries share one slot vector.
     """
     BarrelParams(m, k)
-    if m > m_cap:
-        raise TooLargeError(f"m={m} exceeds path DP cap {m_cap}")
+    if m > TRANSFER_M_CAP:
+        raise TooLargeError(f"m={m} exceeds path DP cap {TRANSFER_M_CAP}")
     boundary = {_site_mask(m, sites)[0]: mult for sites, mult in admissible_boundaries(m)}
     vec = _walk(m, k, boundary)
     return sum(mult * vec.get(slots, 0) for slots, mult in boundary.items())
@@ -284,14 +287,19 @@ def krattenthaler_estimate(m: int, k: int, eta: Sequence[float], lam: Sequence[f
                 f"walker {j}: 2*eta + 2*lam = {round(2 * etas[j] + 2 * lams[j])} "
                 f"breaks the k+1 = {k + 1} step parity")
 
-    sines = 1.0
-    for h in range(n):
-        for t in range(h + 1, n):
-            sines *= math.sin(math.pi * (etas[h] - etas[t]) / m)
-            sines *= abs(math.sin(math.pi * (lams[h] - lams[t]) / m))
+    sines = _sine_product(m, etas) * _sine_product(m, lams)
     value = _finite(m, k, lambda: 2.0 ** (n * n - n) / (n * float(m) ** n)
                     * eigenterm(m, n) ** (k + 1) * sines)
     return AsymptoticEstimate(m, k, n, tuple(etas), tuple(lams), s, value)
+
+
+def _sine_product(m: int, coords: Sequence[float]) -> float:
+    """prod_{h<t} |sin( pi (x_h - x_t) / m )|, unchanged by a common shift or a rotation."""
+    out = 1.0
+    for h, x in enumerate(coords):
+        for y in coords[h + 1:]:
+            out *= abs(math.sin(math.pi * (x - y) / m))
+    return out
 
 
 def _finite(m: int, k: int, compute) -> float:
@@ -329,9 +337,10 @@ class AggregateEstimate:
 def aggregate_estimate(m: int, k: int, n: int | None = None) -> AggregateEstimate:
     """Boundary-and-shift summed estimate of the n-walker part of Phi.
 
-    Sums the single-boundary estimate over all admissible start and end
-    boundaries with n walkers (with cap multiplicities) and over the n
-    shift classes of the end set; approximates sector_count(m, k, m - n).
+    The single-boundary estimate summed over all admissible start and end
+    boundaries with n walkers (with cap multiplicities) and over the n shift
+    classes of the end set, which all give the same term; so it is the squared
+    boundary sum of the module docstring.  Approximates sector_count(m, k, m - n).
     """
     BarrelParams(m, k)
     if n is None:
@@ -340,18 +349,10 @@ def aggregate_estimate(m: int, k: int, n: int | None = None) -> AggregateEstimat
         raise SectorError(f"aggregate needs even n in [2, {m}], got {n}")
     base = eigenterm(m, n)
     _finite(m, k, lambda: base ** (k + 1))  # fail before enumerating 2^m boundaries
-    boundaries = [(sites, mult) for sites, mult in admissible_boundaries(m)
-                  if len(sites) == n]
-    total = 0.0
-    for left, mult_l in boundaries:
-        etas = sorted((site / 2 for site in left), reverse=True)
-        for right, mult_r in boundaries:
-            shifted = sorted((((site + k + 1) % (2 * m)) / 2 for site in right),
-                             reverse=True)
-            for s in range(n):
-                lam_seq = shifted[n - s:] + shifted[:n - s]
-                est = krattenthaler_estimate(m, k, etas, lam_seq, s)
-                total += mult_l * mult_r * est.value
+    amplitude = sum(mult * _sine_product(m, [site / 2 for site in sorted(sites)])
+                    for sites, mult in admissible_boundaries(m) if len(sites) == n)
+    total = _finite(m, k, lambda: 2.0 ** (n * n - n) / float(m) ** n
+                    * base ** (k + 1) * amplitude * amplitude)
     return AggregateEstimate(m, k, n, total, base,
                              _finite(m, k, lambda: total / base**k),
                              _finite(m, k, lambda: total / base ** (k + 1)))
@@ -365,11 +366,11 @@ class LeadingReport:
     n0: int
 
 
-def leading_n_consistency(m: int, *, tol: float = LEADING_TOL) -> LeadingReport:
+def leading_n_consistency(m: int) -> LeadingReport:
     """Check eigenterm(n) = lambda_max(m - n) for every even n, maximized at n0.
 
-    Raises FormulaMismatchError on any relative gap above tol or if the
-    maximizing walker number is not n_zero(m).
+    Raises FormulaMismatchError on any relative gap above LEADING_TOL or
+    if the maximizing walker number is not n_zero(m).
     """
     if m < 3:
         raise InvalidParamsError(f"m must be >= 3, got {m}")
@@ -379,7 +380,7 @@ def leading_n_consistency(m: int, *, tol: float = LEADING_TOL) -> LeadingReport:
         term = eigenterm(m, n)
         lam = lambda_max_sector(m, m - n)
         rel = abs(term - lam) / abs(lam)
-        if rel > tol:
+        if rel > LEADING_TOL:
             raise FormulaMismatchError(
                 f"m={m}, n={n}: eigenterm {term!r} vs lambda_max {lam!r} (rel {rel:.2e})")
         entries.append((n, term, lam, rel))
@@ -395,16 +396,12 @@ def dp_estimate_ratio(m: int, k: int, start: Iterable[int], end_raw: Iterable[in
     """Exact DP count over the shift-summed estimate for one boundary pair.
 
     end_raw is given at time 0 and is advanced by the k+1 drift before
-    both the DP and the estimate see it.
+    both the DP and the estimate see it.  The n shift classes give equal
+    terms, so the estimate is n times the s = 0 term.
     """
     start = sorted(start)
-    n = len(start)
     end = sorted((s + k + 1) % (2 * m) for s in end_raw)
     exact = path_dp_count(m, k, start, end)
     etas = sorted((s / 2 for s in start), reverse=True)
-    shifted = sorted((s / 2 for s in end), reverse=True)
-    est = 0.0
-    for s in range(n):
-        lam_seq = shifted[n - s:] + shifted[:n - s]
-        est += krattenthaler_estimate(m, k, etas, lam_seq, s).value
-    return exact / est
+    lams = sorted((s / 2 for s in end), reverse=True)
+    return exact / (len(start) * krattenthaler_estimate(m, k, etas, lams).value)

@@ -65,6 +65,7 @@ from .errors import (
 from .graph import BarrelGraph, BarrelParams, Matching, build_graph
 
 TRANSFER_M_CAP = 16
+BOUNDARY_M_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +162,13 @@ def boundary_vector(m: int) -> dict[int, int]:
     """Cap vector omega_S = #PM(C_m - S), returned sparsely (nonzero only).
 
     omega at the empty set is 2 exactly when m is even; omega at I_m is 1;
-    all other values are 0 or 1 by the arc-parity rule.
+    all other values are 0 or 1 by the arc-parity rule.  The scan visits
+    all 2^m masks, so m above BOUNDARY_M_CAP raises TooLargeError.
     """
     if m < 3:
         raise InvalidParamsError(f"m must be >= 3, got {m}")
+    if m > BOUNDARY_M_CAP:
+        raise TooLargeError(f"m={m} exceeds boundary scan cap {BOUNDARY_M_CAP} (2^m masks)")
     omega: dict[int, int] = {}
     if m % 2 == 0:
         omega[0] = 2
@@ -247,8 +251,8 @@ class TransferOperator:
         return _apply_rows(self.rows, vec)
 
 
-def build_transfer(m: int, mode: str = "count", *, parity_only: bool = False,
-                   m_cap: int = TRANSFER_M_CAP) -> TransferOperator:
+def build_transfer(m: int, mode: str = "count", *,
+                   parity_only: bool = False) -> TransferOperator:
     """Materialize the operator's integer rows for one barrel width.
 
     mode is kept for callers that pass "count" positionally; any other
@@ -256,8 +260,8 @@ def build_transfer(m: int, mode: str = "count", *, parity_only: bool = False,
     """
     if m < 3:
         raise InvalidParamsError(f"m must be >= 3, got {m}")
-    if m > m_cap:
-        raise TooLargeError(f"m={m} exceeds transfer cap {m_cap} (2^m states)")
+    if m > TRANSFER_M_CAP:
+        raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP} (2^m states)")
     if mode != "count":
         raise InvalidParamsError(f"unknown transfer mode {mode!r}")
     rows = tuple((s, _count_row(m, s)) for s in range(1 << m)
@@ -337,23 +341,23 @@ def _class_power(m: int, k: int, omega: dict[int, int], p: int | None = None, *,
     return total, vecs
 
 
-def count_matchings_transfer(m: int, k: int, *, m_cap: int = TRANSFER_M_CAP) -> int:
+def count_matchings_transfer(m: int, k: int) -> int:
     """Phi(F(m, k)) = <omega| A^(k+1) |omega>, exact."""
     BarrelParams(m, k)  # validate
-    if m > m_cap:
-        raise TooLargeError(f"m={m} exceeds transfer cap {m_cap}")
+    if m > TRANSFER_M_CAP:
+        raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
     return _class_power(m, k, boundary_vector(m))[0]
 
 
-def sector_count(m: int, k: int, p: int, *, m_cap: int = TRANSFER_M_CAP) -> int:
+def sector_count(m: int, k: int, p: int) -> int:
     """Contribution to Phi(F(m, k)) from profiles of fixed cardinality p.
 
     The operator preserves |S|, so Phi is the sum of sector_count over
     p = m mod 2, m mod 2 + 2, .., m.
     """
     BarrelParams(m, k)
-    if m > m_cap:
-        raise TooLargeError(f"m={m} exceeds transfer cap {m_cap}")
+    if m > TRANSFER_M_CAP:
+        raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
     if not 0 <= p <= m:
         raise SectorError(f"sector p={p} outside [0, {m}]")
     if p % 2 != m % 2:
@@ -449,10 +453,10 @@ class UniformSampler:
     layer), and each layer scans its row against it only up to the hit.
     """
 
-    def __init__(self, m: int, k: int, *, m_cap: int = TRANSFER_M_CAP):
+    def __init__(self, m: int, k: int):
         BarrelParams(m, k)
-        if m > m_cap:
-            raise TooLargeError(f"m={m} exceeds transfer cap {m_cap}")
+        if m > TRANSFER_M_CAP:
+            raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
         self.m, self.k = m, k
         self.graph: BarrelGraph = build_graph(BarrelParams(m, k))
         omega = boundary_vector(m)

@@ -177,14 +177,14 @@ def _check_entropy(fast: bool) -> tuple[bool, str]:
     by_quad = entropy.limit_entropy_quadrature()
     by_series = entropy.limit_entropy_series(10**5 if fast else 10**6)
     gap = abs(by_quad - by_series)
-    if gap > (1e-8 if fast else 1e-10):
+    if gap > (1e-8 if fast else entropy.LIMIT_AGREEMENT_TOL):
         return False, f"quadrature {by_quad!r} vs series {by_series!r}: gap {gap:.2e}"
     ref_gap = abs(by_quad - entropy.H_INF_REFERENCE)
     if ref_gap > 1e-8:
         return False, f"limit {by_quad!r} vs pinned reference: gap {ref_gap:.2e}"
     for m in (998, 999, 1000):
         delta = abs(entropy.entropy_of_family(m) - by_quad)
-        if delta > 1e-3:
+        if delta > entropy.TABLE_CRITERION_TOL:
             return False, f"|h({m}) - h_inf| = {delta:.2e} > 1e-3"
     return True, f"routes agree to {gap:.2e}; h(998..1000) within 1e-3 of the limit"
 

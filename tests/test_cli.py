@@ -139,6 +139,14 @@ def test_asymptotic_aggregate_overflow_exits_one(m, k):
     assert proc.stdout == ""
 
 
+def test_asymptotic_aggregate_above_boundary_cap_exits_one():
+    proc = run_cli("asymptotic", "--m", "30", "--k", "1", "--aggregate")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "boundary scan cap" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_asymptotic_bad_ordering_exits_one():
     proc = run_cli("asymptotic", "--m", "4", "--k", "3", "--eta", "0,1", "--lambda", "1,0", "--s", "0")
     assert proc.returncode == 1

@@ -304,3 +304,66 @@ def test_aggregate_tracks_dominant_sector():
 def test_dp_estimate_ratio_near_one():
     assert paths.dp_estimate_ratio(4, 29, [0, 2], [0, 2]) == pytest.approx(1.0, abs=1e-6)
     assert paths.dp_estimate_ratio(4, 31, [0, 2], [0, 2]) == pytest.approx(1.0, abs=1e-6)
+
+
+def _aggregate_by_pairs_and_shifts(m, k, n):
+    """Reference: the single-boundary estimate summed pair by pair and shift by shift."""
+    boundaries = [(sites, mult) for sites, mult in paths.admissible_boundaries(m)
+                  if len(sites) == n]
+    total = 0.0
+    for left, mult_l in boundaries:
+        etas = sorted((site / 2 for site in left), reverse=True)
+        for right, mult_r in boundaries:
+            shifted = sorted((((site + k + 1) % (2 * m)) / 2 for site in right),
+                             reverse=True)
+            for s in range(n):
+                lam_seq = shifted[n - s:] + shifted[:n - s]
+                est = paths.krattenthaler_estimate(m, k, etas, lam_seq, s)
+                total += mult_l * mult_r * est.value
+    return total
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_aggregate_equals_pair_and_shift_sum(m):
+    for n in range(2, m + 1, 2):
+        for k in (0, 1, 5, 20):
+            agg = paths.aggregate_estimate(m, k, n)
+            assert agg.value == pytest.approx(_aggregate_by_pairs_and_shifts(m, k, n),
+                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_shift_classes_contribute_equal_terms(m):
+    k = 5
+    for n in range(2, m + 1, 2):
+        boundaries = [sites for sites, _ in paths.admissible_boundaries(m) if len(sites) == n]
+        left, right = boundaries[0], boundaries[-1]
+        etas = sorted((site / 2 for site in left), reverse=True)
+        shifted = sorted((((site + k + 1) % (2 * m)) / 2 for site in right), reverse=True)
+        values = [paths.krattenthaler_estimate(m, k, etas, shifted[n - s:] + shifted[:n - s],
+                                               s).value
+                  for s in range(n)]
+        assert max(values) == pytest.approx(min(values), rel=1e-13)
+
+
+def test_aggregate_does_not_call_single_estimate(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("aggregate_estimate called krattenthaler_estimate")
+
+    monkeypatch.setattr(paths, "krattenthaler_estimate", boom)
+    agg = paths.aggregate_estimate(6, 5)
+    assert agg.n == 4 and agg.value > 0
+
+
+def test_aggregate_overflow_raises_before_boundary_scan(monkeypatch):
+    def boom(m):
+        raise AssertionError("boundaries enumerated before the overflow check")
+
+    monkeypatch.setattr(paths, "admissible_boundaries", boom)
+    with pytest.raises(errors.TooLargeError, match="float range"):
+        paths.aggregate_estimate(20, 300)
+
+
+def test_dp_estimate_ratio_without_walkers_raises():
+    with pytest.raises(errors.InvalidParamsError):
+        paths.dp_estimate_ratio(4, 3, [], [])

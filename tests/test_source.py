@@ -67,3 +67,25 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, env=dict(os.environ), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_module_constant_is_read():
+    """Each module-level UPPER_CASE constant under src/ is read somewhere in src/."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found += [f"{name}:{node.lineno} {t.id}" for t in targets
+                      if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+                      and t.id not in read]
+    assert found == []

@@ -180,6 +180,11 @@ def test_boundary_vector_m4():
     }
 
 
+def test_boundary_vector_rejects_m_above_cap():
+    with pytest.raises(errors.TooLargeError):
+        transfer.boundary_vector(transfer.BOUNDARY_M_CAP + 1)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_boundary_vector_matches_cycle_oracle(m):
     omega = transfer.boundary_vector(m)

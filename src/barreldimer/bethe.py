@@ -51,7 +51,7 @@ from .errors import (
     StructuralViolationError,
     TooLargeError,
 )
-from .transfer import _row_monomials, boundary_vector, mask_elements
+from .transfer import WeightMonomial, _row_monomials, boundary_vector, mask_elements
 
 VERIFY_M_CAP = 8
 RESIDUAL_TOL = 1e-9
@@ -193,13 +193,40 @@ class SectorSpectrum:
     entries: tuple[SpectrumEntry, ...]
 
 
-def _dense_block(m: int, p: int, b: float, c: float) -> tuple[np.ndarray, tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
+                                                tuple[WeightMonomial, ...], np.ndarray]:
+    """What the dense check needs of sector (m, p) besides the weights.
+
+    Returns ((row, col, monomial index) of every block entry, in
+    _row_monomials order; the distinct monomials those indices point at;
+    omega restricted to the basis).  The arrays are read-only.
+    """
     basis = _block_basis(m, p)
     index = {mask: i for i, mask in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)))
+    monos: dict[WeightMonomial, int] = {}
+    rows, cols, which = [], [], []
     for i, mask in enumerate(basis):
         for t_mask, mono in _row_monomials(m, mask):
-            mat[i, index[t_mask]] += mono.evaluate(b, c)
+            rows.append(i)
+            cols.append(index[t_mask])
+            which.append(monos.setdefault(mono, len(monos)))
+    omega = boundary_vector(m)
+    arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+              np.array(which, dtype=np.intp),
+              np.array([omega.get(mask, 0) for mask in basis], dtype=float))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[:3], tuple(monos), arrays[3]
+
+
+def _dense_block(m: int, p: int, b: float, c: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """B_p at weights (b, c); each distinct monomial is evaluated once, as a float."""
+    (rows, cols, which), monos, _ = _block_structure(m, p)
+    values = np.array([mono.evaluate(b, c) for mono in monos], dtype=float)
+    basis = _block_basis(m, p)
+    mat = np.zeros((len(basis), len(basis)))
+    np.add.at(mat, (rows, cols), values[which])
     return mat, basis
 
 
@@ -222,8 +249,7 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
         raise InvalidParamsError(
             f"weights b={b}, c={c} overflow a float in sector (m={m}, p={p})") from None
     roots = roots_for_sector(m, p)
-    omega = boundary_vector(m)
-    omega_vec = np.array([omega.get(mask, 0) for mask in basis], dtype=float)
+    omega_vec = _block_structure(m, p)[2]
 
     entries: list[SpectrumEntry] = []
     vectors = np.zeros((math.comb(m, p), len(basis)), dtype=complex)

@@ -19,12 +19,14 @@ import sys
 import jsonschema
 
 from . import bethe, entropy, paths, render, transfer, validate
-from .errors import BarrelError, StructuralViolationError
+from .errors import BarrelError, StructuralViolationError, TooLargeError
 from .graph import BarrelParams, build_graph, count_matchings_brute, enumerate_matchings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
+# Most edge ids one `sample` call may hold and print: samples x m(k+2).
+SAMPLE_IDS_CAP = 5_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,6 +265,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    per_sample = BarrelParams(args.m, args.k).n_vertices // 2
+    if args.samples * per_sample > SAMPLE_IDS_CAP:
+        raise TooLargeError(f"{args.samples} samples of {per_sample} edges exceed the cap of "
+                            f"{SAMPLE_IDS_CAP} edge ids")
     sampler = transfer.UniformSampler(args.m, args.k)
     rng = random.Random(args.seed)
     draws = [sampler.draw(rng).sorted_ids() for _ in range(args.samples)]
@@ -288,19 +294,19 @@ def cmd_sample(args) -> int:
 
 
 def cmd_render(args) -> int:
-    g = build_graph(BarrelParams(args.m, args.k))
     matching = None
-    if args.what != "graph":
-        if args.seed is not None:
-            matching = transfer.sample_uniform(args.m, args.k, args.seed)
-        else:
-            index = args.index if args.index is not None else 0
-            for i, mm in enumerate(enumerate_matchings(g)):
-                if i == index:
-                    matching = mm
-                    break
-            if matching is None:
-                raise BarrelError(f"matching index {index} out of range")
+    if args.what != "graph" and args.seed is not None:
+        # the sampler's size cap applies before any graph is built
+        matching = transfer.sample_uniform(args.m, args.k, args.seed)
+    g = build_graph(BarrelParams(args.m, args.k))
+    if args.what != "graph" and matching is None:
+        index = args.index if args.index is not None else 0
+        for i, mm in enumerate(enumerate_matchings(g)):
+            if i == index:
+                matching = mm
+                break
+        if matching is None:
+            raise BarrelError(f"matching index {index} out of range")
     _write_out(render.render_view(g, args.what, matching), args.out)
     return EXIT_OK
 

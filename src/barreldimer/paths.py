@@ -63,6 +63,9 @@ from .graph import (
 from .transfer import TRANSFER_M_CAP, boundary_vector
 
 LEADING_TOL = 1e-12
+# Each walker step visits up to 2^m slot masks with integers of ~k log2 rho
+# bits; total_via_paths(12, 500) takes 2 s on 2 cores, (16, 40) 7 s.
+PATHS_K_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,14 @@ def _walk(m: int, k: int, vec: dict[int, int]) -> dict[int, int]:
     return vec
 
 
+def _check_size(m: int, k: int) -> None:
+    BarrelParams(m, k)
+    if m > TRANSFER_M_CAP:
+        raise TooLargeError(f"m={m} exceeds path DP cap {TRANSFER_M_CAP}")
+    if k > PATHS_K_CAP:
+        raise TooLargeError(f"k={k} exceeds path DP cap {PATHS_K_CAP}")
+
+
 def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int]) -> int:
     """Exact number of non-intersecting walker families from start to end.
 
@@ -202,9 +213,7 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int]) -> i
     k+1 steps of drift mean a reachable end set has parity (k+1) mod 2
     relative to start, and the count is 0 whenever that fails.
     """
-    BarrelParams(m, k)
-    if m > TRANSFER_M_CAP:
-        raise TooLargeError(f"m={m} exceeds path DP cap {TRANSFER_M_CAP}")
+    _check_size(m, k)
     start_slots, parity = _site_mask(m, start)
     end_slots, end_parity = _site_mask(m, end, parity + k + 1)
     n_start, n_end = bin(start_slots).count("1"), bin(end_slots).count("1")
@@ -220,9 +229,7 @@ def total_via_paths(m: int, k: int) -> int:
 
     In the co-moving frame the start and end boundaries share one slot vector.
     """
-    BarrelParams(m, k)
-    if m > TRANSFER_M_CAP:
-        raise TooLargeError(f"m={m} exceeds path DP cap {TRANSFER_M_CAP}")
+    _check_size(m, k)
     boundary = {_site_mask(m, sites)[0]: mult for sites, mult in admissible_boundaries(m)}
     vec = _walk(m, k, boundary)
     return sum(mult * vec.get(slots, 0) for slots, mult in boundary.items())

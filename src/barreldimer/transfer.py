@@ -48,6 +48,7 @@ l in S); all counting is exact big-integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -66,6 +67,11 @@ from .graph import BarrelGraph, BarrelParams, Matching, build_graph
 
 TRANSFER_M_CAP = 16
 BOUNDARY_M_CAP = 20
+# Counting time grows like k^2 (k + 1 matvecs on integers of ~k log2 rho
+# bits); count_matchings_transfer(14, 2000) takes 14 s on 2 cores.
+TRANSFER_K_CAP = 2000
+# Bytes of suffix weights one UniformSampler may keep, by _kept_bytes.
+SAMPLER_BYTES_CAP = 256 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -161,27 +167,33 @@ def cycle_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int]) ->
 def boundary_vector(m: int) -> dict[int, int]:
     """Cap vector omega_S = #PM(C_m - S), returned sparsely (nonzero only).
 
-    omega at the empty set is 2 exactly when m is even; omega at I_m is 1;
-    all other values are 0 or 1 by the arc-parity rule.  The scan visits
-    all 2^m masks, so m above BOUNDARY_M_CAP raises TooLargeError.
+    omega at the empty set is 2 exactly when m is even; every other nonzero
+    value is 1.  C_m - S has a perfect matching iff every cyclic gap between
+    consecutive elements of S is even, that is, iff the sorted elements
+    alternate in parity and |S| = m mod 2.  The support is generated from
+    this rule as chains of odd steps, by ascending top element, so the keys
+    come out in ascending mask order without visiting the other masks.  m
+    above BOUNDARY_M_CAP raises TooLargeError.
     """
     if m < 3:
         raise InvalidParamsError(f"m must be >= 3, got {m}")
     if m > BOUNDARY_M_CAP:
-        raise TooLargeError(f"m={m} exceeds boundary scan cap {BOUNDARY_M_CAP} (2^m masks)")
-    omega: dict[int, int] = {}
-    if m % 2 == 0:
-        omega[0] = 2
-    for mask in range(1, 1 << m):
-        removed = mask_elements(mask)
-        ok = True
-        for a, r in enumerate(removed):
-            r_next = removed[(a + 1) % len(removed)]
-            if (r_next - r - 1) % m % 2:
-                ok = False
-                break
-        if ok:
-            omega[mask] = 1
+        raise TooLargeError(f"m={m} exceeds boundary scan cap {BOUNDARY_M_CAP}")
+    omega: dict[int, int] = {0: 2} if m % 2 == 0 else {}
+    # chains[h][q]: ascending masks of alternating-parity sets with top
+    # element h and cardinality = q mod 2.  Below {h} itself, the sets with
+    # next element h2 < h (h - h2 odd) follow by ascending h2.
+    chains: list[tuple[list[int], list[int]]] = []
+    for h in range(m):
+        bit = 1 << h
+        even: list[int] = []
+        odd = [bit]
+        for h2 in range((h - 1) % 2, h, 2):
+            below_even, below_odd = chains[h2]
+            even += [x | bit for x in below_odd]
+            odd += [x | bit for x in below_even]
+        chains.append((even, odd))
+        omega.update(dict.fromkeys(odd if m % 2 else even, 1))
     return omega
 
 
@@ -341,11 +353,17 @@ def _class_power(m: int, k: int, omega: dict[int, int], p: int | None = None, *,
     return total, vecs
 
 
-def count_matchings_transfer(m: int, k: int) -> int:
-    """Phi(F(m, k)) = <omega| A^(k+1) |omega>, exact."""
+def _check_count_size(m: int, k: int) -> None:
     BarrelParams(m, k)  # validate
     if m > TRANSFER_M_CAP:
         raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
+    if k > TRANSFER_K_CAP:
+        raise TooLargeError(f"k={k} exceeds transfer cap {TRANSFER_K_CAP}")
+
+
+def count_matchings_transfer(m: int, k: int) -> int:
+    """Phi(F(m, k)) = <omega| A^(k+1) |omega>, exact."""
+    _check_count_size(m, k)
     return _class_power(m, k, boundary_vector(m))[0]
 
 
@@ -355,9 +373,7 @@ def sector_count(m: int, k: int, p: int) -> int:
     The operator preserves |S|, so Phi is the sum of sector_count over
     p = m mod 2, m mod 2 + 2, .., m.
     """
-    BarrelParams(m, k)
-    if m > TRANSFER_M_CAP:
-        raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
+    _check_count_size(m, k)
     if not 0 <= p <= m:
         raise SectorError(f"sector p={p} outside [0, {m}]")
     if p % 2 != m % 2:
@@ -440,6 +456,57 @@ def _prefix_choice(rng: random.Random, total: int, row: Iterable[tuple[int, int]
     raise StructuralViolationError("weighted choice fell past the total weight")
 
 
+def _subset_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """mask_elements(mask) for every mask of I_m, indexed by the mask."""
+    table: list[tuple[int, ...]] = [()]
+    for l in range(m):
+        table += [t + (l,) for t in table]
+    return tuple(table)
+
+
+def _down_slots(m: int, a: int, b: int) -> int:
+    """Slots i whose down edge (2i+1, 2i+2) the big cycle between S_(j-1) = a and S_j = b matches.
+
+    The cycle loses the evens {2l : l in a} and the odds {2l+1 : l in b},
+    which interlace.  The arc after 2l (l in a) runs up to the next removed
+    odd 2l'+1 and is matched by the down edges of slots l .. l'-1; the arcs
+    after the odds are matched by up edges.  With b's lowest slot moved up
+    by m when it lies below a's (that b closes the wrapping arc), the
+    difference b - a has exactly these runs of bits set, and folding bit
+    m + i onto bit i undoes the wrap.  The intact cycle (a = b = 0) is left
+    to the caller, which picks all or none of the slots.
+    """
+    low = b & -b
+    if low < a & -a:
+        b += (low << m) - low
+    d = b - a
+    return (d | d >> m) & ((1 << m) - 1)
+
+
+def _layout_base(ids: Mapping, layer, size: int) -> int:
+    """First id of the block {(layer, x) : x < size}, which must be base + x."""
+    base = ids[(layer, 0)]
+    if any(ids[(layer, x)] != base + x for x in range(size)):
+        raise StructuralViolationError(f"edge ids of layer {layer!r} are not one contiguous block")
+    return base
+
+
+def _kept_bytes(m: int, k: int) -> int:
+    """Upper estimate of the memory of the sampler's k + 2 kept vectors.
+
+    Row S of A sums to the product of the gaps of S (2 for S = 0), so no
+    row sums to more than R, the largest product of a composition of m
+    (parts of 3, with one 4 or one 2 for the remainder).  Every kept entry
+    is at most 2 R^(k+1), and each of the (k + 2) x classes entries is
+    costed at the bytes of that bound plus 64 for the int header and the
+    dict slot.
+    """
+    q, r = divmod(m, 3)
+    row_max = 3 ** q if r == 0 else 4 * 3 ** (q - 1) if r == 1 else 2 * 3 ** q
+    bits = 2 + math.ceil((k + 1) * math.log2(row_max))
+    return (k + 2) * len(_necklaces(m)[1]) * (bits // 8 + 64)
+
+
 class UniformSampler:
     """Exact uniform sampler over perfect matchings of F(m, k).
 
@@ -451,12 +518,27 @@ class UniformSampler:
     empty layers of even m).  Since W_{j-1} = A W_j, the weight of every
     choice is already stored, W_{j-1}[S_{j-1}] (total for the first
     layer), and each layer scans its row against it only up to the hit.
+
+    The fill works on slot masks.  Between a = S_(j-1) and b = S_j, big
+    cycle j matches the down edges of D = _down_slots(m, a, b) (the cyclic
+    runs from each slot of a up to the next slot of b), the horizontal
+    edges of b, and the up edges of every other slot; the intact cycle
+    takes D = I_m or D = 0 by one coin.  build_graph gives each cycle, each
+    horizontal layer and each cap a contiguous block of edge ids, so the
+    ids of a mask are read off per-layer rows of the graph's own id
+    objects.  The caps still use _cycle_pairing.  Construction raises
+    TooLargeError when _kept_bytes(m, k) exceeds SAMPLER_BYTES_CAP.
     """
 
     def __init__(self, m: int, k: int):
         BarrelParams(m, k)
         if m > TRANSFER_M_CAP:
             raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
+        kept = _kept_bytes(m, k)
+        if kept > SAMPLER_BYTES_CAP:
+            raise TooLargeError(
+                f"sampler for F({m},{k}) would keep about {kept >> 20} MiB "
+                f"of suffix weights, over the cap of {SAMPLER_BYTES_CAP >> 20} MiB")
         self.m, self.k = m, k
         self.graph: BarrelGraph = build_graph(BarrelParams(m, k))
         omega = boundary_vector(m)
@@ -466,9 +548,28 @@ class UniformSampler:
         suffix.reverse()  # suffix[j] = W_j on rotation classes, j = 0 .. k+1
         self._suffix = suffix
 
+        g = self.graph
+        table: list[int] = [0] * g.n_edges  # the graph's own id objects, by id
+        for ids in (g.horizontal_ids, g.cycle_ids, g.cap_ids):
+            for eid in ids.values():
+                table[eid] = eid
+
+        def block(ids: Mapping, layer, size: int = m) -> tuple[int, ...]:
+            base = _layout_base(ids, layer, size)
+            return tuple(table[base:base + size])
+
+        self._elements = _subset_table(m)
+        self._caps = (block(g.cap_ids, "L"), block(g.cap_ids, "R"))
+        self._first_layer = block(g.horizontal_ids, 0)
+        # (up ids, down ids, horizontal ids) of cycle j and layer j, by slot
+        layers = []
+        for j in range(1, k + 2):
+            cycle = block(g.cycle_ids, j, 2 * m)
+            layers.append((cycle[0::2], cycle[1::2], block(g.horizontal_ids, j)))
+        self._layers = tuple(layers)
+
     def draw(self, rng: random.Random) -> Matching:
         m, k = self.m, self.k
-        g = self.graph
         canon = self._canon
         suffix = self._suffix
         profile = [_prefix_choice(rng, self.total, self._omega, suffix[0], canon)]
@@ -477,32 +578,35 @@ class UniformSampler:
             profile.append(_prefix_choice(rng, suffix[j - 1][canon[prev]],
                                           _count_row(m, prev), suffix[j], canon))
 
-        edges: set[int] = set()
-        for j, s_mask in enumerate(profile):
-            for l in mask_elements(s_mask):
-                edges.add(g.horizontal_ids[(j, l)])
-        left = mask_elements(profile[0])
-        choice = rng.randrange(2) if not left else 0
-        for x, _y in _cycle_pairing(m, left, choice):
-            edges.add(g.cap_ids[("L", x)])
-        right = mask_elements(profile[-1])
-        choice = rng.randrange(2) if not right else 0
-        for x, _y in _cycle_pairing(m, right, choice):
-            edges.add(g.cap_ids[("R", x)])
-        for j in range(1, k + 2):
-            removed = tuple(sorted([2 * l for l in mask_elements(profile[j - 1])]
-                                   + [2 * l + 1 for l in mask_elements(profile[j])]))
+        elements = self._elements
+        edges: list[int] = []
+        fill = edges.extend
+        for s_mask, ids in zip((profile[0], profile[-1]), self._caps):
+            removed = elements[s_mask]
             choice = rng.randrange(2) if not removed else 0
-            for x, _y in _cycle_pairing(2 * m, removed, choice):
-                edges.add(g.cycle_ids[(j, x)])
-        if len(edges) != g.n_vertices // 2:
+            fill([ids[x] for x, _y in _cycle_pairing(m, removed, choice)])
+        fill(map(self._first_layer.__getitem__, elements[profile[0]]))
+        full = (1 << m) - 1
+        a = profile[0]
+        for b, (up, down, horizontal) in zip(profile[1:], self._layers):
+            if a:
+                d_mask = _down_slots(m, a, b)
+            else:
+                d_mask = full if rng.randrange(2) else 0
+            fill(map(up.__getitem__, elements[full & ~(d_mask | b)]))
+            fill(map(down.__getitem__, elements[d_mask]))
+            fill(map(horizontal.__getitem__, elements[b]))
+            a = b
+        matched = frozenset(edges)
+        if len(edges) != len(matched) or len(matched) != self.graph.n_vertices // 2:
             raise StructuralViolationError(
-                f"sampled {len(edges)} edges for {g.n_vertices} vertices")
-        return Matching(frozenset(edges))
+                f"sampled {len(edges)} edges for {self.graph.n_vertices} vertices")
+        return Matching(matched)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _sampler(m: int, k: int) -> UniformSampler:
+    """The two most recent samplers stay cached; each is bounded by SAMPLER_BYTES_CAP."""
     return UniformSampler(m, k)
 
 

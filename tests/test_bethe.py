@@ -133,6 +133,38 @@ def test_verify_sector_rejects_overflowing_weights():
         bethe.verify_sector(4, 2, 1.0, 1e200)
 
 
+def _dense_block_reference(m, p, b, c):
+    """The block entry by entry from _row_monomials, as each call built it before caching."""
+    basis = bethe._block_basis(m, p)
+    index = {mask: i for i, mask in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)))
+    for i, mask in enumerate(basis):
+        for t_mask, mono in transfer._row_monomials(m, mask):
+            mat[i, index[t_mask]] += mono.evaluate(b, c)
+    return mat
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_cached_block_structure_gives_the_same_matrices(m):
+    for p in range(m + 1):
+        block, basis = bethe._dense_block(m, p, 2.0, 3.0)
+        assert basis == bethe._block_basis(m, p)
+        assert np.array_equal(block, _dense_block_reference(m, p, 2.0, 3.0)), p
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_cached_omega_overlap_is_the_boundary_vector(m):
+    omega = transfer.boundary_vector(m)
+    for p in range(m + 1):
+        *_, omega_vec = bethe._block_structure(m, p)
+        assert list(omega_vec) == [omega.get(mask, 0) for mask in bethe._block_basis(m, p)]
+        assert not omega_vec.flags.writeable
+
+
+def test_block_structure_cache_is_bounded():
+    assert bethe._block_structure.cache_info().maxsize is not None
+
+
 def test_verify_sector_nan_residual_fails(monkeypatch):
     real = bethe._dense_block
 

@@ -288,6 +288,41 @@ def test_sample_rejects_non_int_ids(monkeypatch, capsys, tmp_path, bad):
     assert not out.exists()
 
 
+def test_sample_refuses_more_ids_than_the_cap(monkeypatch, capsys):
+    """samples x m(k+2) over SAMPLE_IDS_CAP exits 1 before the sampler is built."""
+    def unreachable(*args):
+        raise AssertionError("sampler built despite the cap")
+
+    monkeypatch.setattr(transfer, "UniformSampler", unreachable)
+    samples = cli.SAMPLE_IDS_CAP // (12 * 202) + 1
+    argv = ["sample", "--m", "12", "--k", "200", "--samples", str(samples)]
+    assert cli.main(argv) == 1
+    assert "edge ids" in capsys.readouterr().err
+
+
+def test_sample_at_the_benchmark_size_is_under_the_cap():
+    assert 200 * 12 * 202 <= cli.SAMPLE_IDS_CAP
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--samples", "1"],
+    ["render", "--what", "tiling", "--seed", "0"],
+])
+def test_sampler_memory_cap_exits_one(command):
+    """k = 10^5 at m = 16 would keep terabytes of suffix weights; refused at once."""
+    proc = run_cli(*command, "--m", "16", "--k", "100000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "MiB" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("method", ["transfer", "paths"])
+def test_count_k_cap_exits_one(method):
+    proc = run_cli("count", "--m", "3", "--k", "100000000", "--method", method)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "exceeds" in proc.stderr
+
+
 def test_sample_schema_keeps_its_envelope():
     good = {"m": 3, "k": 1, "seed": 0, "samples": [[0, 1], []]}
     jsonschema.validate(good, cli._SAMPLE_SCHEMA)

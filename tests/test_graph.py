@@ -78,6 +78,23 @@ def test_horizontal_ids_index_every_layer():
     assert set(g.horizontal_ids) == {(j, l) for j in range(5) for l in range(5)}
 
 
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("k", range(4))
+def test_edge_ids_lie_in_contiguous_blocks(m, k):
+    """Cap L, layer 0, then per big cycle its 2m edges and the next m horizontals, cap R."""
+    g = barrel(m, k)
+    families = ([(g.cap_ids, "L", m), (g.horizontal_ids, 0, m)]
+                + [(ids, j, size) for j in range(1, k + 2)
+                   for ids, size in ((g.cycle_ids, 2 * m), (g.horizontal_ids, m))]
+                + [(g.cap_ids, "R", m)])
+    base = 0
+    for ids, layer, size in families:
+        assert [ids[(layer, x)] for x in range(size)] == list(range(base, base + size)), layer
+        base += size
+    assert base == g.n_edges
+    assert len(g.cap_ids) + len(g.horizontal_ids) + len(g.cycle_ids) == g.n_edges
+
+
 # ---------------------------------------------------------------------------
 # Planar embedding and face census
 # ---------------------------------------------------------------------------

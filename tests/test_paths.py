@@ -199,6 +199,18 @@ def test_total_via_paths_rejects_large_m():
         paths.total_via_paths(17, 0)
 
 
+def test_path_counts_refuse_k_over_the_cap(monkeypatch):
+    k = paths.PATHS_K_CAP + 1
+    with pytest.raises(errors.TooLargeError, match="k="):
+        paths.total_via_paths(3, k)
+    with pytest.raises(errors.TooLargeError, match="k="):
+        paths.path_dp_count(3, k, [0], [1])
+    monkeypatch.setattr(paths, "PATHS_K_CAP", 1)
+    assert paths.total_via_paths(3, 1) == 28
+    with pytest.raises(errors.TooLargeError):
+        paths.total_via_paths(3, 2)
+
+
 # ---------------------------------------------------------------------------
 # Krattenthaler estimate
 # ---------------------------------------------------------------------------

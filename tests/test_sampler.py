@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chi2
 
-from barreldimer import graph, transfer
+from barreldimer import errors, graph, transfer
 from barreldimer.validate import SAMPLER_SEED
 
 
@@ -149,3 +149,92 @@ def test_prefix_draw_matches_list_and_sum_draw(m, ks):
                 assert layers == tuple(frozenset(transfer.mask_elements(s)) for s in profile)
                 assert got.sorted_ids() == want.sorted_ids()
                 assert new_rng.getstate() == old_rng.getstate()
+
+
+def _pairing_slots(m, a, b, choice):
+    """(up slots, down slots) of _cycle_pairing on the cycle between profiles a and b."""
+    removed = tuple(sorted([2 * l for l in transfer.mask_elements(a)]
+                           + [2 * l + 1 for l in transfer.mask_elements(b)]))
+    up = down = 0
+    for x, _y in transfer._cycle_pairing(2 * m, removed, choice):
+        if x % 2:
+            down |= 1 << (x // 2)
+        else:
+            up |= 1 << (x // 2)
+    return up, down
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_bitmask_fill_matches_cycle_pairing(m):
+    """Every row entry (a, b) of the operator, and both coins of the intact cycle."""
+    full = (1 << m) - 1
+    for a in range(1 << m):
+        for b, _cnt in transfer._count_row(m, a):
+            for choice in ((0, 1) if a == 0 else (0,)):
+                down = transfer._down_slots(m, a, b) if a else (full if choice else 0)
+                assert _pairing_slots(m, a, b, choice) == (full & ~(down | b), down), (a, b)
+
+
+def test_subset_table_lists_mask_elements():
+    table = transfer._subset_table(7)
+    assert len(table) == 1 << 7
+    assert all(table[mask] == transfer.mask_elements(mask) for mask in range(1 << 7))
+
+
+def test_sampler_rejects_non_contiguous_edge_ids(monkeypatch):
+    real = transfer.build_graph
+
+    def swapped(params):
+        g = real(params)
+        ids = g.cycle_ids
+        ids[(1, 0)], ids[(1, 1)] = ids[(1, 1)], ids[(1, 0)]
+        return g
+
+    monkeypatch.setattr(transfer, "build_graph", swapped)
+    with pytest.raises(errors.StructuralViolationError, match="contiguous"):
+        transfer.UniformSampler(4, 1)
+
+
+def test_sampled_ids_are_the_graph_objects():
+    """The fill reuses the graph's id objects instead of making new ints."""
+    sampler = transfer.UniformSampler(12, 10)
+    g = sampler.graph
+    own = {id(eid) for ids in (g.horizontal_ids, g.cycle_ids, g.cap_ids) for eid in ids.values()}
+    mt = sampler.draw(random.Random(5))
+    assert max(mt.edges) > 256  # past the interpreter's shared small ints
+    assert {id(eid) for eid in mt.edges} <= own
+
+
+# ---------------------------------------------------------------------------
+# size caps
+# ---------------------------------------------------------------------------
+
+
+def _largest_kept_bits(sampler):
+    return max(x.bit_length() for vec in sampler._suffix for x in vec.values())
+
+
+@pytest.mark.parametrize("m,k", [(3, 0), (4, 7), (6, 20), (9, 5), (12, 30)])
+def test_kept_bytes_bounds_the_kept_vectors(m, k):
+    """The estimate's bit bound covers every kept entry, and its count every entry."""
+    sampler = transfer.UniformSampler(m, k)
+    entries = sum(len(vec) for vec in sampler._suffix)
+    est = transfer._kept_bytes(m, k)
+    assert est >= entries * (_largest_kept_bits(sampler) // 8 + 64)
+    assert entries <= (k + 2) * len(transfer._necklaces(m)[1])
+
+
+def test_kept_bytes_keeps_benchmark_and_validate_sizes_under_the_cap():
+    for m, k in [(12, 200), (3, 1), (4, 0), (8, 30), (12, 40)]:
+        assert transfer._kept_bytes(m, k) <= transfer.SAMPLER_BYTES_CAP, (m, k)
+    assert transfer._kept_bytes(16, 2000) > transfer.SAMPLER_BYTES_CAP
+
+
+def test_sampler_refuses_sizes_over_the_memory_cap(monkeypatch):
+    monkeypatch.setattr(transfer, "SAMPLER_BYTES_CAP", transfer._kept_bytes(5, 10) - 1)
+    transfer.UniformSampler(5, 9)
+    with pytest.raises(errors.TooLargeError, match="MiB"):
+        transfer.UniformSampler(5, 10)
+    transfer._sampler.cache_clear()
+    with pytest.raises(errors.TooLargeError):
+        transfer.sample_uniform(5, 10, 0)

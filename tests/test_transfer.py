@@ -185,6 +185,23 @@ def test_boundary_vector_rejects_m_above_cap():
         transfer.boundary_vector(transfer.BOUNDARY_M_CAP + 1)
 
 
+def _boundary_scan(m):
+    """omega by the arc-parity rule over all 2^m masks, in ascending mask order."""
+    omega = {0: 2} if m % 2 == 0 else {}
+    for mask in range(1, 1 << m):
+        removed = transfer.mask_elements(mask)
+        if all((removed[(a + 1) % len(removed)] - r - 1) % m % 2 == 0
+               for a, r in enumerate(removed)):
+            omega[mask] = 1
+    return omega
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_boundary_vector_equals_mask_scan(m):
+    """Same entries in the same (ascending) order as the scan it replaces."""
+    assert list(transfer.boundary_vector(m).items()) == list(_boundary_scan(m).items())
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_boundary_vector_matches_cycle_oracle(m):
     omega = transfer.boundary_vector(m)
@@ -228,6 +245,18 @@ def test_closed_form_rejects_other_m():
 def test_transfer_rejects_oversized_m():
     with pytest.raises(errors.TooLargeError):
         transfer.count_matchings_transfer(17, 0)
+
+
+def test_transfer_counts_refuse_k_over_the_cap(monkeypatch):
+    k = transfer.TRANSFER_K_CAP + 1
+    with pytest.raises(errors.TooLargeError, match="k="):
+        transfer.count_matchings_transfer(3, k)
+    with pytest.raises(errors.TooLargeError, match="k="):
+        transfer.sector_count(3, k, 1)
+    monkeypatch.setattr(transfer, "TRANSFER_K_CAP", 4)
+    assert transfer.count_matchings_transfer(3, 4) == 3 ** 6 + 1
+    with pytest.raises(errors.TooLargeError):
+        transfer.count_matchings_transfer(3, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,13 @@ import jsonschema
 
 from . import bethe, entropy, paths, render, transfer, validate
 from .errors import BarrelError, StructuralViolationError, TooLargeError
-from .graph import BarrelParams, build_graph, count_matchings_brute, enumerate_matchings
+from .graph import (
+    BRUTE_VERTEX_CAP,
+    BarrelParams,
+    build_graph,
+    count_matchings_brute,
+    enumerate_matchings,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,8 +151,11 @@ def cmd_count(args) -> int:
         if method == "transfer":
             counts[method] = transfer.count_matchings_transfer(args.m, args.k)
         elif method == "brute":
-            g = build_graph(BarrelParams(args.m, args.k))
-            counts[method] = count_matchings_brute(g)
+            params = BarrelParams(args.m, args.k)
+            if params.n_vertices > BRUTE_VERTEX_CAP:  # before the graph is built
+                raise TooLargeError(f"{params.n_vertices} vertices exceeds brute-force cap "
+                                    f"{BRUTE_VERTEX_CAP}")
+            counts[method] = count_matchings_brute(build_graph(params))
         elif method == "paths":
             counts[method] = paths.total_via_paths(args.m, args.k)
     agree = len(set(counts.values())) == 1
@@ -272,7 +281,7 @@ def cmd_sample(args) -> int:
     sampler = transfer.UniformSampler(args.m, args.k)
     rng = random.Random(args.seed)
     draws = [sampler.draw(rng).sorted_ids() for _ in range(args.samples)]
-    if any(type(x) is not int for ids in draws for x in ids):
+    if not all(map({int}.issuperset, (map(type, ids) for ids in draws))):
         raise StructuralViolationError("a sampled edge id is not an int")
     if args.format == "json":
         obj = {"m": args.m, "k": args.k, "seed": args.seed,

@@ -29,17 +29,21 @@ which pins down the orientation conventions used everywhere else.
 Rotating S and T together by one slot rotates C_{2m} by two positions,
 so entry(S, T) is invariant under it, and so is omega.  Every vector
 A^j omega is therefore constant on necklace classes, and the exact counts
-run on class representatives r (the least mask of each rotation orbit,
-|r| = m mod 2) with the reduced operator
+run on the classes c = 0 .. C-1 (numbered by their representative r, the
+least mask of each rotation orbit, |r| = m mod 2) with the reduced operator
 
     Q[r, c] = sum of entry(r, t) over the t in class c,
     Phi     = sum_c omega_c |orbit c| (Q^(k+1) omega)_c.
 
 At m = 14 this is 596 states and 21,388 nonzeros, against 8192 states
 and 355,322 nonzeros of the parity block of A; rows are generated for
-the representatives only.  The sampler keeps its suffix vectors on the
-classes too.  TransferOperator is the unreduced operator, kept as the
-reference the tests check the reduced kernel against.
+the representatives only.  Vectors are plain lists indexed by class, and
+a row is the tuple of the class indices canon[t], each t listed entry(r, t)
+times, so one matvec step is sum(map(vec.__getitem__, row)) per row: the
+additions run in C with no dict lookups.  The sampler keeps its suffix
+vectors on the classes too and scans its rows in the same form.
+TransferOperator is the unreduced operator, kept as the reference the
+tests check the reduced kernel against; it runs on the same matvec.
 
 Subsets of I_m = {0, .., m-1} are encoded as bitmasks (bit l set iff
 l in S); all counting is exact big-integer arithmetic.
@@ -53,7 +57,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -245,12 +248,18 @@ def _has_parity(m: int, mask: int) -> bool:
     return bin(mask).count("1") % 2 == m % 2
 
 
+def _listed(row: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The T of row ((T, entry), ...), each listed entry times, in row order."""
+    return tuple(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, row)))
+
+
 @dataclass(frozen=True)
 class TransferOperator:
     """The unreduced integer operator A, materialized row by row.
 
     rows holds (S, ((T, entry(S, T)), ...)) by ascending S; apply()
-    computes x -> A x on those rows.
+    computes x -> A x on those rows with _apply_rows, on a list indexed by
+    mask.
     """
 
     m: int
@@ -259,8 +268,13 @@ class TransferOperator:
     def row(self, S: int | Iterable[int]) -> tuple[tuple[int, int], ...]:
         return _count_row(self.m, as_mask(self.m, S))
 
-    def apply(self, vec: dict[int, int]) -> dict[int, int]:
-        return _apply_rows(self.rows, vec)
+    def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
+        """A x for x given sparsely by mask; the nonzero entries come back."""
+        x = [0] * (1 << self.m)
+        for s_mask, value in vec.items():
+            x[s_mask] = value
+        out = _apply_rows([_listed(targets) for _, targets in self.rows], x)
+        return {s_mask: value for (s_mask, _), value in zip(self.rows, out) if value}
 
 
 def build_transfer(m: int, mode: str = "count", *,
@@ -286,70 +300,73 @@ def build_transfer(m: int, mode: str = "count", *,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _necklaces(m: int) -> tuple[tuple[int, ...], Mapping[int, int]]:
-    """Rotation classes of the profiles |S| = m mod 2.
+def _necklaces(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Rotation classes of the profiles |S| = m mod 2, numbered 0 .. C-1.
 
-    Returns (canon, orbit): canon[S] is the least mask among the rotations
-    of S (-1 for the other parity) and orbit maps each such representative,
-    ascending, to the size of its class.
+    Returns (canon, reps, sizes): canon[S] is the index of the class of S
+    (-1 for the other parity), reps[c] the least mask of class c and
+    sizes[c] its number of masks.  Classes are numbered by ascending
+    representative.
     """
     full = (1 << m) - 1
     canon = [-1] * (1 << m)
-    orbit: dict[int, int] = {}
+    reps: list[int] = []
+    sizes: list[int] = []
     for mask in range(1 << m):
         if canon[mask] >= 0 or not _has_parity(m, mask):
             continue
+        c = len(reps)
         x, size = mask, 0
         while canon[x] < 0:
-            canon[x] = mask
+            canon[x] = c
             size += 1
             x = (x << 1 | x >> (m - 1)) & full
-        orbit[mask] = size
-    return tuple(canon), MappingProxyType(orbit)
+        reps.append(mask)
+        sizes.append(size)
+    return tuple(canon), tuple(reps), tuple(sizes)
 
 
-def _apply_rows(rows, vec: dict[int, int]) -> dict[int, int]:
-    """x -> A x over the given rows: (A x)_S = sum_T entry(S, T) x_T."""
-    out: dict[int, int] = {}
-    for s_mask, targets in rows:
-        acc = 0
-        for t_mask, w in targets:
-            x = vec.get(t_mask)
-            if x:
-                acc += w * x
-        if acc:
-            out[s_mask] = acc
-    return out
+def _class_row(m: int,
+               row: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row ((T, entry), ...) as (targets, classes): each T listed entry times,
+    in row order, and the class index canon[T] of each."""
+    canon = _necklaces(m)[0]
+    targets = _listed(row)
+    return targets, tuple(map(canon.__getitem__, targets))
 
 
-def _class_power(m: int, k: int, omega: dict[int, int], p: int | None = None, *,
-                 keep: bool = False) -> tuple[int, list[dict[int, int]]]:
+def _apply_rows(rows: Iterable[Sequence[int]], vec: Sequence[int]) -> list[int]:
+    """x -> A x on index rows: out[i] sums vec[j] over the j listed in rows[i].
+
+    An index listed entry times carries that entry (every entry is 1 but
+    entry(0, 0) = 2), so a step is only additions, which sum() runs in C.
+    """
+    get = vec.__getitem__
+    return [sum(map(get, row)) for row in rows]
+
+
+def _class_power(m: int, k: int, omega: Mapping[int, int], p: int | None = None, *,
+                 keep: bool = False) -> tuple[int, list[list[int]]]:
     """<omega| A^(k+1) |omega> summed over the classes of cardinality p (all if None).
 
     Every vector A^j omega is constant on rotation classes, so the loop runs
-    on class representatives r with Q[r, c] = sum of A[r, t] over the t of
-    class c, and the result is sum_c omega_c |orbit c| v_c.  omega is
-    boundary_vector(m).  With keep, the reduced vectors Q^j omega for
-    j = 0 .. k+1 come back as well.
+    on lists indexed by class, with row r the class indices of _class_row
+    of _count_row(m, r) (empty outside sector p), and the result is
+    sum_c omega_c |orbit c| v_c.  omega is boundary_vector(m).  The rows
+    are rebuilt from _count_row on every call.  With keep, the reduced
+    vectors Q^j omega for j = 0 .. k+1 come back as well.
     """
-    canon, orbit = _necklaces(m)
-    rows = []
-    for r in orbit:
-        if p is not None and bin(r).count("1") != p:
-            continue
-        acc: dict[int, int] = {}
-        for t, w in _count_row(m, r):
-            c = canon[t]
-            acc[c] = acc.get(c, 0) + w
-        rows.append((r, tuple(acc.items())))
-    start = {r: omega[r] for r, _ in rows if r in omega}
+    _, reps, sizes = _necklaces(m)
+    inside = [p is None or bin(r).count("1") == p for r in reps]
+    rows = [_class_row(m, _count_row(m, r))[1] if ok else () for r, ok in zip(reps, inside)]
+    start = [omega.get(r, 0) if ok else 0 for r, ok in zip(reps, inside)]
     vec = start
     vecs = [start] if keep else []
     for _ in range(k + 1):
         vec = _apply_rows(rows, vec)
         if keep:
             vecs.append(vec)
-    total = sum(w * orbit[c] * vec.get(c, 0) for c, w in start.items())
+    total = sum(w * size * x for w, size, x in zip(start, sizes, vec))
     return total, vecs
 
 
@@ -438,21 +455,23 @@ def _cycle_pairing(n: int, removed: tuple[int, ...], choice: int = 0) -> list[tu
     return pairs
 
 
-def _prefix_choice(rng: random.Random, total: int, row: Iterable[tuple[int, int]],
-                   w: dict[int, int], canon: Sequence[int]) -> int:
-    """Draw T from row ((T, cnt), ...) with probability cnt * w[canon[T]] / total.
+def _prefix_choice(rng: random.Random, total: int, classes: Sequence[int],
+                   w: Sequence[int]) -> int:
+    """Position i in a listed row, drawn with probability w[classes[i]] / total.
 
-    total must equal the sum of those weights; the row is scanned in its
-    own order only up to the first T whose running weight passes the
-    uniform draw, so no weighted list is built.
+    total must equal the sum of those weights.  A row lists each T once per
+    unit of entry(S, T), so the weights of its copies add up to
+    entry * w[canon[T]].  The row is scanned in its own order only up to
+    the first position whose running weight passes the uniform draw, so no
+    weighted list is built and no canon[T] is read per entry.
     """
     r = rng.randrange(total)
-    for t, cnt in row:
-        x = w.get(canon[t])
-        if x:
-            r -= cnt * x
-            if r < 0:
-                return t
+    i = 0
+    for c in classes:
+        r -= w[c]
+        if r < 0:
+            return i
+        i += 1
     raise StructuralViolationError("weighted choice fell past the total weight")
 
 
@@ -499,25 +518,31 @@ def _kept_bytes(m: int, k: int) -> int:
     (parts of 3, with one 4 or one 2 for the remainder).  Every kept entry
     is at most 2 R^(k+1), and each of the (k + 2) x classes entries is
     costed at the bytes of that bound plus 64 for the int header and the
-    dict slot.
+    list slot.  The lists hold every class, zeros included, and each list
+    adds 128 bytes for its header and spare slots.
     """
     q, r = divmod(m, 3)
     row_max = 3 ** q if r == 0 else 4 * 3 ** (q - 1) if r == 1 else 2 * 3 ** q
     bits = 2 + math.ceil((k + 1) * math.log2(row_max))
-    return (k + 2) * len(_necklaces(m)[1]) * (bits // 8 + 64)
+    return (k + 2) * (len(_necklaces(m)[1]) * (bits // 8 + 64) + 128)
 
 
 class UniformSampler:
     """Exact uniform sampler over perfect matchings of F(m, k).
 
     Precomputes the suffix weights W_j = A^(k+1-j) omega, kept once per
-    rotation class since W_j is rotation-invariant, then draws the
-    profile layer by layer with conditional probabilities proportional to
-    exact integer completion counts, finally filling the forced cycle and
-    cap matchings (the only free choices are the 2-way alternations at
-    empty layers of even m).  Since W_{j-1} = A W_j, the weight of every
-    choice is already stored, W_{j-1}[S_{j-1}] (total for the first
-    layer), and each layer scans its row against it only up to the hit.
+    rotation class as lists indexed by class since W_j is
+    rotation-invariant, then draws the profile layer by layer with
+    conditional probabilities proportional to exact integer completion
+    counts, finally filling the forced cycle and cap matchings (the only
+    free choices are the 2-way alternations at empty layers of even m).
+    Since W_{j-1} = A W_j, the weight of every choice is already stored,
+    W_{j-1}[S_{j-1}] (total for the first layer), and each layer scans its
+    row against it only up to the hit.  The rows are the (targets, classes)
+    pairs of _class_row for _count_row(m, S), built the first time a draw
+    reaches S and kept by the sampler; the first layer's row lists omega
+    the same way.
+    The chosen position gives both the next mask and its class.
 
     The fill works on slot masks.  Between a = S_(j-1) and b = S_j, big
     cycle j matches the down edges of D = _down_slots(m, a, b) (the cyclic
@@ -542,8 +567,8 @@ class UniformSampler:
         self.m, self.k = m, k
         self.graph: BarrelGraph = build_graph(BarrelParams(m, k))
         omega = boundary_vector(m)
-        self._omega = sorted(omega.items())
-        self._canon = _necklaces(m)[0]
+        self._omega_row = _class_row(m, sorted(omega.items()))
+        self._rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * (1 << m)
         self.total, suffix = _class_power(m, k, omega, keep=True)
         suffix.reverse()  # suffix[j] = W_j on rotation classes, j = 0 .. k+1
         self._suffix = suffix
@@ -570,13 +595,20 @@ class UniformSampler:
 
     def draw(self, rng: random.Random) -> Matching:
         m, k = self.m, self.k
-        canon = self._canon
+        rows = self._rows
         suffix = self._suffix
-        profile = [_prefix_choice(rng, self.total, self._omega, suffix[0], canon)]
+        targets, classes = self._omega_row
+        i = _prefix_choice(rng, self.total, classes, suffix[0])
+        s_mask, c = targets[i], classes[i]
+        profile = [s_mask]
         for j in range(1, k + 2):
-            prev = profile[-1]
-            profile.append(_prefix_choice(rng, suffix[j - 1][canon[prev]],
-                                          _count_row(m, prev), suffix[j], canon))
+            row = rows[s_mask]
+            if row is None:
+                row = rows[s_mask] = _class_row(m, _count_row(m, s_mask))
+            targets, classes = row
+            i = _prefix_choice(rng, suffix[j - 1][c], classes, suffix[j])
+            s_mask, c = targets[i], classes[i]
+            profile.append(s_mask)
 
         elements = self._elements
         edges: list[int] = []

@@ -316,6 +316,18 @@ def test_sampler_memory_cap_exits_one(command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("method", ["brute", "all"])
+def test_count_brute_cap_exits_one_before_the_graph_is_built(monkeypatch, capsys, method):
+    def unreachable(*args):
+        raise AssertionError("graph built despite the brute-force cap")
+
+    monkeypatch.setattr(cli, "build_graph", unreachable)
+    assert cli.main(["count", "--m", "3", "--k", "20", "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert "132 vertices exceeds brute-force cap 72" in captured.err
+
+
 @pytest.mark.parametrize("method", ["transfer", "paths"])
 def test_count_k_cap_exits_one(method):
     proc = run_cli("count", "--m", "3", "--k", "100000000", "--method", method)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -30,14 +31,15 @@ def _list_and_sum_draw(sampler, rng):
     the fill that follows is the sampler's own, step for step.
     """
     m, k, g = sampler.m, sampler.k, sampler.graph
-    canon = sampler._canon
+    canon = transfer._necklaces(m)[0]
+    omega = sorted(transfer.boundary_vector(m).items())
     w0 = sampler._suffix[0]
-    items = [(s, w * x) for s, w in sampler._omega if (x := w0.get(canon[s]))]
+    items = [(s, w * x) for s, w in omega if (x := w0[canon[s]])]
     profile = [_list_weighted_choice(rng, items)]
     for j in range(1, k + 2):
         wj = sampler._suffix[j]
         items = [(t, cnt * x) for t, cnt in transfer._count_row(m, profile[-1])
-                 if (x := wj.get(canon[t]))]
+                 if (x := wj[canon[t]])]
         profile.append(_list_weighted_choice(rng, items))
     elements = transfer.mask_elements
     edges = set()
@@ -121,16 +123,16 @@ def test_sector_frequency_tracks_exact_ratio_f40():
 def test_suffix_rows_sum_to_stored_totals(m, k):
     """The totals the prefix scan draws against: W_{j-1}[S] = sum_T A[S, T] W_j[T]."""
     sampler = transfer.UniformSampler(m, k)
-    canon, suffix = sampler._canon, sampler._suffix
+    canon, suffix = transfer._necklaces(m)[0], sampler._suffix
     omega = transfer.boundary_vector(m)
-    assert sum(w * suffix[0].get(canon[s], 0) for s, w in omega.items()) == sampler.total
+    assert sum(w * suffix[0][canon[s]] for s, w in omega.items()) == sampler.total
     for s_mask in range(1 << m):
         if canon[s_mask] < 0:
             continue
         row = transfer._count_row(m, s_mask)
         for j in range(1, k + 2):
-            got = sum(cnt * suffix[j].get(canon[t], 0) for t, cnt in row)
-            assert got == suffix[j - 1].get(canon[s_mask], 0), (s_mask, j)
+            got = sum(cnt * suffix[j][canon[t]] for t, cnt in row)
+            assert got == suffix[j - 1][canon[s_mask]], (s_mask, j)
 
 
 @pytest.mark.parametrize("m,ks", [(3, (0, 1, 6)), (4, (0, 2, 5)), (5, (0, 1, 4)),
@@ -211,7 +213,7 @@ def test_sampled_ids_are_the_graph_objects():
 
 
 def _largest_kept_bits(sampler):
-    return max(x.bit_length() for vec in sampler._suffix for x in vec.values())
+    return max(x.bit_length() for vec in sampler._suffix for x in vec)
 
 
 @pytest.mark.parametrize("m,k", [(3, 0), (4, 7), (6, 20), (9, 5), (12, 30)])
@@ -222,6 +224,15 @@ def test_kept_bytes_bounds_the_kept_vectors(m, k):
     est = transfer._kept_bytes(m, k)
     assert est >= entries * (_largest_kept_bits(sampler) // 8 + 64)
     assert entries <= (k + 2) * len(transfer._necklaces(m)[1])
+
+
+@pytest.mark.parametrize("m,k", [(3, 0), (4, 7), (6, 20), (9, 5), (12, 30), (12, 200)])
+def test_kept_bytes_bounds_the_kept_lists(m, k):
+    """The estimate covers sys.getsizeof of every kept list and of every entry in it,
+    each zero counted as if it were its own int."""
+    sampler = transfer.UniformSampler(m, k)
+    real = sum(sys.getsizeof(vec) + sum(map(sys.getsizeof, vec)) for vec in sampler._suffix)
+    assert real <= transfer._kept_bytes(m, k)
 
 
 def test_kept_bytes_keeps_benchmark_and_validate_sizes_under_the_cap():

@@ -8,6 +8,7 @@ arc-decomposition or gap-product constructions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -368,13 +369,61 @@ def test_class_kernel_matches_unreduced_operator_and_paths(m, k):
     assert total == paths.total_via_paths(m, k)
     assert sum(transfer.sector_count(m, k, p) for p in range(m % 2, m + 1, 2)) == total
 
-    canon, orbit = transfer._necklaces(m)
-    assert all(m % size == 0 for size in orbit.values())
-    assert sum(orbit.values()) == 2 ** (m - 1)
+    canon, reps, sizes = transfer._necklaces(m)
+    assert len(reps) == len(sizes)
+    assert list(reps) == sorted(reps)
+    assert all(canon[r] == c for c, r in enumerate(reps))
+    assert all(m % size == 0 for size in sizes)
+    assert sum(sizes) == 2 ** (m - 1)
     for mask in range(1 << m):
         if bin(mask).count("1") % 2 != m % 2:
             assert canon[mask] == -1
             continue
         rotated = (mask << 1 | mask >> (m - 1)) & ((1 << m) - 1)
-        assert canon[mask] in orbit and canon[mask] <= mask
+        assert 0 <= canon[mask] < len(reps) and reps[canon[mask]] <= mask
         assert canon[rotated] == canon[mask]
+    assert Counter(c for c in canon if c >= 0) == dict(enumerate(sizes))
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_class_row_lists_each_target_entry_times(m):
+    """For every mask: T of _count_row(m, S) entry(S, T) times, ascending, with canon[T]."""
+    canon = transfer._necklaces(m)[0]
+    for s_mask in range(1 << m):
+        row = transfer._count_row(m, s_mask)
+        targets, classes = transfer._class_row(m, row)
+        assert Counter(targets) == dict(row), s_mask
+        assert list(targets) == sorted(targets), s_mask
+        assert classes == tuple(canon[t] for t in targets), s_mask
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_kept_class_vectors_are_the_unreduced_iterates(m):
+    """_class_power(keep=True) reads A^j omega of the unreduced operator at the representatives."""
+    op = transfer.build_transfer(m)
+    omega = transfer.boundary_vector(m)
+    reps = transfer._necklaces(m)[1]
+    for k in range(7):
+        total, vecs = transfer._class_power(m, k, omega, keep=True)
+        assert len(vecs) == k + 2
+        vec = dict(omega)
+        for j, got in enumerate(vecs):
+            assert got == [vec.get(r, 0) for r in reps], (k, j)
+            vec = op.apply(vec)
+        assert total == unreduced_count(m, k)
+
+
+def test_class_power_rereads_count_rows(monkeypatch):
+    """The reduced rows are rebuilt from _count_row on every call, with no cache of their own."""
+    want = transfer.count_matchings_transfer(3, 2)
+    real = transfer._count_row
+
+    def corrupted(m, s_mask):
+        row = real(m, s_mask)
+        if (m, s_mask) != (3, 0b001):
+            return row
+        (t0, cnt0), *more = row
+        return ((t0, cnt0 + 1), *more)
+
+    monkeypatch.setattr(transfer, "_count_row", corrupted)
+    assert transfer.count_matchings_transfer(3, 2) != want

@@ -26,7 +26,6 @@ from .graph import (
 )
 from .transfer import (
     UniformSampler,
-    WeightMonomial,
     boundary_vector,
     closed_form_345,
     count_matchings_transfer,

@@ -51,7 +51,7 @@ from .errors import (
     StructuralViolationError,
     TooLargeError,
 )
-from .transfer import WeightMonomial, _row_monomials, boundary_vector, mask_elements
+from .transfer import _count_row, boundary_vector, mask_elements
 
 VERIFY_M_CAP = 8
 RESIDUAL_TOL = 1e-9
@@ -195,22 +195,28 @@ class SectorSpectrum:
 
 @lru_cache(maxsize=64)
 def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
-                                                tuple[WeightMonomial, ...], np.ndarray]:
+                                                tuple[tuple[int, int], ...], np.ndarray]:
     """What the dense check needs of sector (m, p) besides the weights.
 
-    Returns ((row, col, monomial index) of every block entry, in
-    _row_monomials order; the distinct monomials those indices point at;
-    omega restricted to the basis).  The arrays are read-only.
+    Returns ((row, col, monomial index) of every matching of every block
+    row, in _count_row order; the distinct monomials b^i c^j those indices
+    point at, as exponent pairs (i, j); omega restricted to the basis).
+    The matching of T in row S != 0 weighs c^d b^(m-p-d) with
+    d = (sum T - sum S) mod m; the p = 0 entry lists b^m, then c^m.  The
+    arrays are read-only.
     """
     basis = _block_basis(m, p)
     index = {mask: i for i, mask in enumerate(basis)}
-    monos: dict[WeightMonomial, int] = {}
+    monos: dict[tuple[int, int], int] = {}
     rows, cols, which = [], [], []
     for i, mask in enumerate(basis):
-        for t_mask, mono in _row_monomials(m, mask):
-            rows.append(i)
-            cols.append(index[t_mask])
-            which.append(monos.setdefault(mono, len(monos)))
+        s_sum = sum(mask_elements(mask))
+        for t_mask, _ in _count_row(m, mask):
+            d = (sum(mask_elements(t_mask)) - s_sum) % m
+            for pair in ((m - p - d, d),) if mask else ((m, 0), (0, m)):
+                rows.append(i)
+                cols.append(index[t_mask])
+                which.append(monos.setdefault(pair, len(monos)))
     omega = boundary_vector(m)
     arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
               np.array(which, dtype=np.intp),
@@ -223,7 +229,7 @@ def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
 def _dense_block(m: int, p: int, b: float, c: float) -> tuple[np.ndarray, tuple[int, ...]]:
     """B_p at weights (b, c); each distinct monomial is evaluated once, as a float."""
     (rows, cols, which), monos, _ = _block_structure(m, p)
-    values = np.array([mono.evaluate(b, c) for mono in monos], dtype=float)
+    values = np.array([b ** be * c ** ce for be, ce in monos], dtype=float)
     basis = _block_basis(m, p)
     mat = np.zeros((len(basis), len(basis)))
     np.add.at(mat, (rows, cols), values[which])

@@ -33,6 +33,11 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 # Most edge ids one `sample` call may hold and print: samples x m(k+2).
 SAMPLE_IDS_CAP = 5_000_000
+# Most vertices `render` draws without the sampler.  Finding a matching by
+# enumeration recurses once per matched edge and hits Python's default
+# recursion limit at 1,980-2,000 vertices; the cap leaves room for callers'
+# frames.
+RENDER_VERTEX_CAP = 1_500
 
 
 class _Parser(argparse.ArgumentParser):
@@ -304,10 +309,14 @@ def cmd_sample(args) -> int:
 
 def cmd_render(args) -> int:
     matching = None
+    params = BarrelParams(args.m, args.k)
     if args.what != "graph" and args.seed is not None:
         # the sampler's size cap applies before any graph is built
         matching = transfer.sample_uniform(args.m, args.k, args.seed)
-    g = build_graph(BarrelParams(args.m, args.k))
+    elif params.n_vertices > RENDER_VERTEX_CAP:  # before the graph is built
+        raise TooLargeError(f"{params.n_vertices} vertices exceeds render cap "
+                            f"{RENDER_VERTEX_CAP}")
+    g = build_graph(params)
     if args.what != "graph" and matching is None:
         index = args.index if args.index is not None else 0
         for i, mm in enumerate(enumerate_matchings(g)):
@@ -409,6 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", None) is not None and args.samples < 0:
         parser.error("--samples must be >= 0")
+    if getattr(args, "index", None) is not None and args.index < 0:
+        parser.error("--index must be >= 0")
     try:
         return args.fn(args)
     except BarrelError as exc:

@@ -31,7 +31,6 @@ planar face walk rather than assumed.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -261,7 +260,7 @@ def _vertex_positions(params: BarrelParams) -> list[tuple[float, float]]:
     return pos
 
 
-def _face_size_census(g: BarrelGraph) -> Counter[int]:
+def _face_size_census(g: BarrelGraph) -> dict[int, int]:
     """Face sizes of the plane embedding, found by tracing rotation-system orbits."""
     pos = _vertex_positions(g.params)
     n = g.n_vertices
@@ -271,7 +270,7 @@ def _face_size_census(g: BarrelGraph) -> Counter[int]:
         nbrs.sort(key=lambda u: math.atan2(pos[u][1] - pos[v][1], pos[u][0] - pos[v][0]))
         rot.append(nbrs)
 
-    sizes: Counter[int] = Counter()
+    sizes: dict[int, int] = {}
     seen: set[tuple[int, int]] = set()
     for v0 in range(n):
         for u0 in rot[v0]:
@@ -284,7 +283,7 @@ def _face_size_census(g: BarrelGraph) -> Counter[int]:
                 size += 1
                 idx = rot[u].index(v)
                 v, u = u, rot[u][(idx + 1) % len(rot[u])]
-            sizes[size] += 1
+            sizes[size] = sizes.get(size, 0) + 1
     return sizes
 
 
@@ -311,11 +310,10 @@ def validate_structure(g: BarrelGraph) -> FaceCensusReport:
         raise StructuralViolationError(
             f"Euler characteristic V-E+F = {euler} != 2; embedding is not spherical")
 
-    expected: Counter[int] = Counter()
-    expected[m] += 2
-    expected[5] += 2 * m
-    if k > 0:
-        expected[6] += m * k
+    expected: dict[int, int] = {}
+    for size, count in ((m, 2), (5, 2 * m), (6, m * k)):
+        if count:
+            expected[size] = expected.get(size, 0) + count
     if sizes != expected:
         raise StructuralViolationError(
             f"face census {dict(sorted(sizes.items()))} != expected {dict(sorted(expected.items()))}")

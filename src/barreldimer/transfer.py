@@ -37,11 +37,15 @@ least mask of each rotation orbit, |r| = m mod 2) with the reduced operator
 
 At m = 14 this is 596 states and 21,388 nonzeros, against 8192 states
 and 355,322 nonzeros of the parity block of A; rows are generated for
-the representatives only.  Vectors are plain lists indexed by class, and
-a row is the tuple of the class indices canon[t], each t listed entry(r, t)
-times, so one matvec step is sum(map(vec.__getitem__, row)) per row: the
-additions run in C with no dict lookups.  The sampler keeps its suffix
-vectors on the classes too and scans its rows in the same form.
+the representatives only.  _count_row is the one source of rows for the
+kernel, the sampler, the unreduced operator and the Bethe blocks; it lists
+each target T of row S with its entry and caches nothing, and the weight
+of a matching follows from S and T alone (see _count_row).  Vectors are
+plain lists indexed by class, and a row is the tuple of the class indices
+canon[t], each t listed entry(r, t) times, so one matvec step is
+sum(map(vec.__getitem__, row)) per row: the additions run in C with no
+dict lookups.  The sampler keeps its suffix vectors on the classes too and
+scans its rows in the same form.
 TransferOperator is the unreduced operator, kept as the reference the
 tests check the reduced kernel against; it runs on the same matvec.
 
@@ -54,7 +58,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -81,22 +84,6 @@ SAMPLER_BYTES_CAP = 256 << 20
 # subset encoding
 # ---------------------------------------------------------------------------
 
-def as_mask(m: int, subset: int | Iterable[int]) -> int:
-    """Coerce an iterable of elements of I_m (or a ready mask) to a bitmask."""
-    if isinstance(subset, int):
-        if subset < 0 or subset >> m:
-            raise InvalidParamsError(f"mask {subset} out of range for m={m}")
-        return subset
-    mask = 0
-    for l in subset:
-        if not 0 <= l < m:
-            raise InvalidParamsError(f"element {l} outside I_{m}")
-        if mask >> l & 1:
-            raise InvalidParamsError(f"repeated element {l}")
-        mask |= 1 << l
-    return mask
-
-
 def mask_elements(mask: int) -> tuple[int, ...]:
     out = []
     l = 0
@@ -106,65 +93,6 @@ def mask_elements(mask: int) -> tuple[int, ...]:
         mask >>= 1
         l += 1
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class WeightMonomial:
-    """Single matching weight b^b_exp * c^c_exp."""
-
-    b_exp: int
-    c_exp: int
-
-    def evaluate(self, b: float, c: float) -> float:
-        return b**self.b_exp * c**self.c_exp
-
-
-# ---------------------------------------------------------------------------
-# per-entry primitives (arc decomposition of the punctured cycle)
-# ---------------------------------------------------------------------------
-
-def _punctured_even_cycle_monomials(m: int, removed: Sequence[int]) -> tuple[WeightMonomial, ...]:
-    """Matchings of C_{2m} minus `removed` (sorted positions), one monomial each.
-
-    Edge (x, x+1) weighs b when x is even, c when x is odd.  The removed
-    vertices cut the cycle into arcs; each even-length arc has exactly one
-    perfect matching, all of whose edges start on the same parity.
-    """
-    n = 2 * m
-    if not removed:
-        return (WeightMonomial(m, 0), WeightMonomial(0, m))
-    b_exp = c_exp = 0
-    for a, r in enumerate(removed):
-        r_next = removed[(a + 1) % len(removed)]
-        length = (r_next - r - 1) % n
-        if length % 2:
-            return ()
-        start = (r + 1) % n
-        if start % 2 == 0:
-            b_exp += length // 2
-        else:
-            c_exp += length // 2
-    return (WeightMonomial(b_exp, c_exp),)
-
-
-def weighted_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int]) -> tuple[WeightMonomial, ...]:
-    """Weighted entry: monomials of the matchings of the doubly punctured cycle.
-
-    Single monomial of total degree m - |S| when nonzero; the (0, 0)
-    entry alone is the binomial b^m + c^m.
-    """
-    if m < 1:
-        raise InvalidParamsError(f"m must be >= 1, got {m}")
-    s_mask = as_mask(m, S)
-    t_mask = as_mask(m, T)
-    removed = sorted([2 * l for l in mask_elements(s_mask)]
-                     + [2 * l + 1 for l in mask_elements(t_mask)])
-    return _punctured_even_cycle_monomials(m, removed)
-
-
-def cycle_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int]) -> int:
-    """Unweighted entry: number of perfect matchings of the punctured C_{2m}."""
-    return len(weighted_block_entry(m, S, T))
 
 
 def boundary_vector(m: int) -> dict[int, int]:
@@ -204,43 +132,27 @@ def boundary_vector(m: int) -> dict[int, int]:
 # rows of the operator, generated constructively from the interlacing rule
 # ---------------------------------------------------------------------------
 
-def _row_monomials(m: int, s_mask: int) -> tuple[tuple[int, WeightMonomial], ...]:
-    """Row S of the weighted operator: one (T, weight) per matching, by ascending T.
-
-    The package's single weighted row source, built without scanning 2^m
-    masks.  For S != 0 a compatible T removes exactly one odd position
-    strictly inside each cyclic gap between consecutive removed evens; the
-    choice at offset d in a gap of length g contributes c^d b^(g-1-d).
-    For S = 0 the intact C_{2m} has two matchings, so T = 0 is listed
-    twice, as b^m and as c^m.
-    """
-    if s_mask == 0:
-        return ((0, WeightMonomial(m, 0)), (0, WeightMonomial(0, m)))
-    evens = mask_elements(s_mask)
-    p = len(evens)
-    gaps = [(evens[(a + 1) % p] - evens[a]) % m or m for a in range(p)]
-    out: list[tuple[int, WeightMonomial]] = []
-    for choice in itertools.product(*(range(g) for g in gaps)):
-        t_mask = 0
-        b_exp = c_exp = 0
-        for a, d in enumerate(choice):
-            t_mask |= 1 << ((evens[a] + d) % m)
-            c_exp += d
-            b_exp += gaps[a] - 1 - d
-        out.append((t_mask, WeightMonomial(b_exp, c_exp)))
-    out.sort(key=lambda pair: pair[0])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _count_row(m: int, s_mask: int) -> tuple[tuple[int, int], ...]:
     """Row S of the integer operator, ((T, entry), ...) by ascending T.
 
-    entry(S, T) is the number of matchings _row_monomials lists for T.
-    The reduced kernel, the sampler's draws and the unreduced operator
-    read their rows here; the walker DP in paths does not.
+    Built without scanning 2^m masks.  For S != 0 a compatible T removes
+    exactly one odd position strictly inside each cyclic gap between
+    consecutive removed evens, so T takes one slot of each gap and the
+    targets are the sums of one slot bit per gap, all distinct, each with
+    entry 1.  The matching of T weighs c^d b^(m-p-d), p = |S|, with
+    d = (sum T - sum S) mod m the total offset of the slots into their
+    gaps.  For S = 0 the intact C_{2m} has two matchings, b^m and c^m, so
+    the row is ((0, 2),).  Nothing is cached: the reduced kernel, the
+    sampler's draws, the unreduced operator and the Bethe blocks call it
+    per row; the walker DP in paths does not read it.
     """
-    return tuple(Counter(t for t, _ in _row_monomials(m, s_mask)).items())
+    if s_mask == 0:
+        return ((0, 2),)
+    evens = mask_elements(s_mask)
+    p = len(evens)
+    slots = [[1 << ((l + d) % m) for d in range((evens[(a + 1) % p] - l) % m or m)]
+             for a, l in enumerate(evens)]
+    return tuple((t, 1) for t in sorted(map(sum, itertools.product(*slots))))
 
 
 def _has_parity(m: int, mask: int) -> bool:
@@ -264,9 +176,6 @@ class TransferOperator:
 
     m: int
     rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-    def row(self, S: int | Iterable[int]) -> tuple[tuple[int, int], ...]:
-        return _count_row(self.m, as_mask(self.m, S))
 
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """A x for x given sparsely by mask; the nonzero entries come back."""
@@ -352,9 +261,9 @@ def _class_power(m: int, k: int, omega: Mapping[int, int], p: int | None = None,
     Every vector A^j omega is constant on rotation classes, so the loop runs
     on lists indexed by class, with row r the class indices of _class_row
     of _count_row(m, r) (empty outside sector p), and the result is
-    sum_c omega_c |orbit c| v_c.  omega is boundary_vector(m).  The rows
-    are rebuilt from _count_row on every call.  With keep, the reduced
-    vectors Q^j omega for j = 0 .. k+1 come back as well.
+    sum_c omega_c |orbit c| v_c.  omega is boundary_vector(m).  Nothing
+    caches the rows: they are rebuilt from _count_row on every call.  With
+    keep, the reduced vectors Q^j omega for j = 0 .. k+1 come back as well.
     """
     _, reps, sizes = _necklaces(m)
     inside = [p is None or bin(r).count("1") == p for r in reps]

@@ -4,11 +4,19 @@ The subset-scan matching counter checks every V/2-subset of the edge set
 for disjointness and coverage; exponential, but exact and structurally
 unlike both the library's backtracking and its transfer recursion, so it
 can arbitrate between them on small instances.
+
+The per-entry arc reference builds one transfer entry at a time from the
+arcs of the punctured big cycle, one (b_exp, c_exp) pair per matching,
+where the library generates whole rows from the gap product.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Sequence
+
+from barreldimer.errors import InvalidParamsError
+from barreldimer.transfer import mask_elements
 
 
 def pm_count_by_subsets(n_vertices: int, edges: list[tuple[int, int]]) -> int:
@@ -39,3 +47,63 @@ def punctured_cycle_pm_count(n: int, removed: set[int]) -> int:
              if a in relabel and b in relabel]
     edges = sorted(set(tuple(sorted(e)) for e in edges))
     return pm_count_by_subsets(len(keep), edges)
+
+
+def as_mask(m: int, subset: int | Iterable[int]) -> int:
+    """Coerce an iterable of elements of I_m (or a ready mask) to a bitmask."""
+    if isinstance(subset, int):
+        if subset < 0 or subset >> m:
+            raise InvalidParamsError(f"mask {subset} out of range for m={m}")
+        return subset
+    mask = 0
+    for l in subset:
+        if not 0 <= l < m:
+            raise InvalidParamsError(f"element {l} outside I_{m}")
+        if mask >> l & 1:
+            raise InvalidParamsError(f"repeated element {l}")
+        mask |= 1 << l
+    return mask
+
+
+def _punctured_even_cycle_monomials(m: int, removed: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Matchings of C_{2m} minus `removed` (sorted positions), one (b_exp, c_exp) each.
+
+    Edge (x, x+1) weighs b when x is even, c when x is odd.  The removed
+    vertices cut the cycle into arcs; each even-length arc has exactly one
+    perfect matching, all of whose edges start on the same parity.
+    """
+    n = 2 * m
+    if not removed:
+        return ((m, 0), (0, m))
+    b_exp = c_exp = 0
+    for a, r in enumerate(removed):
+        r_next = removed[(a + 1) % len(removed)]
+        length = (r_next - r - 1) % n
+        if length % 2:
+            return ()
+        start = (r + 1) % n
+        if start % 2 == 0:
+            b_exp += length // 2
+        else:
+            c_exp += length // 2
+    return ((b_exp, c_exp),)
+
+
+def weighted_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Weighted entry: (b_exp, c_exp) of each matching of the doubly punctured cycle.
+
+    Single monomial of total degree m - |S| when nonzero; the (0, 0)
+    entry alone is the binomial b^m + c^m.
+    """
+    if m < 1:
+        raise InvalidParamsError(f"m must be >= 1, got {m}")
+    s_mask = as_mask(m, S)
+    t_mask = as_mask(m, T)
+    removed = sorted([2 * l for l in mask_elements(s_mask)]
+                     + [2 * l + 1 for l in mask_elements(t_mask)])
+    return _punctured_even_cycle_monomials(m, removed)
+
+
+def cycle_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int]) -> int:
+    """Unweighted entry: number of perfect matchings of the punctured C_{2m}."""
+    return len(weighted_block_entry(m, S, T))

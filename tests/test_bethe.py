@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from barreldimer import bethe, errors, transfer
+from conftest import weighted_block_entry
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +135,13 @@ def test_verify_sector_rejects_overflowing_weights():
 
 
 def _dense_block_reference(m, p, b, c):
-    """The block entry by entry from _row_monomials, as each call built it before caching."""
+    """The block entry by entry from the per-entry arc reference, one matching at a time."""
     basis = bethe._block_basis(m, p)
-    index = {mask: i for i, mask in enumerate(basis)}
     mat = np.zeros((len(basis), len(basis)))
     for i, mask in enumerate(basis):
-        for t_mask, mono in transfer._row_monomials(m, mask):
-            mat[i, index[t_mask]] += mono.evaluate(b, c)
+        for j, t_mask in enumerate(basis):
+            for b_exp, c_exp in weighted_block_entry(m, mask, t_mask):
+                mat[i, j] += b ** b_exp * c ** c_exp
     return mat
 
 

@@ -67,8 +67,18 @@ def test_count_invalid_m_exits_one():
 
 
 def test_unknown_subcommand_exits_one():
-    proc = run_cli("frobnicate")
-    assert proc.returncode == 1
+    """Refused by the parser's error path, like a negative --samples or --index."""
+    for argv, message in [
+        (["frobnicate"], "invalid choice"),
+        (["sample", "--m", "3", "--k", "0", "--samples", "-1"], "--samples must be >= 0"),
+        (["render", "--m", "3", "--k", "0", "--what", "tiling", "--index", "-1"],
+         "--index must be >= 0"),
+    ]:
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert "error: " in proc.stderr and message in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stdout == "", argv
 
 
 def test_count_disagreement_exits_two(monkeypatch):
@@ -387,6 +397,31 @@ def test_render_paths_walker_polylines(tmp_path):
     assert cli.main(["render", "--m", "3", "--k", "0", "--what", "paths", "--index", "2", "--out", str(out)]) == 0
     counts = svg_counts(out.read_text())
     assert counts["polyline"] >= 2  # 2 walkers; wrapping may split a trajectory
+
+
+@pytest.mark.parametrize("view", [
+    ["--what", "graph"], ["--what", "graph", "--seed", "0"], ["--what", "tiling"],
+    ["--what", "paths", "--index", "3"],
+])
+def test_render_vertex_cap_exits_one_before_the_graph_is_built(monkeypatch, capsys, view):
+    def unreachable(*args):
+        raise AssertionError("graph built despite the render cap")
+
+    monkeypatch.setattr(cli, "build_graph", unreachable)
+    assert cli.main(["render", "--m", "3", "--k", "249", *view]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert f"1506 vertices exceeds render cap {cli.RENDER_VERTEX_CAP}" in captured.err
+
+
+def test_render_enumerates_at_the_vertex_cap(tmp_path):
+    """The cap keeps the enumeration's recursion inside the interpreter's limit."""
+    m = 3
+    k = cli.RENDER_VERTEX_CAP // (2 * m) - 2
+    assert graph.BarrelParams(m, k).n_vertices == cli.RENDER_VERTEX_CAP
+    out = tmp_path / "p.svg"
+    assert cli.main(["render", "--m", str(m), "--k", str(k), "--what", "paths", "--out", str(out)]) == 0
+    assert svg_counts(out.read_text())["polyline"] >= 2
 
 
 def test_render_deterministic_bytes(tmp_path):

@@ -51,7 +51,7 @@ from .errors import (
     StructuralViolationError,
     TooLargeError,
 )
-from .transfer import _count_row, boundary_vector, mask_elements
+from .transfer import TRANSFER_M_CAP, _count_row, boundary_vector, mask_elements
 
 VERIFY_M_CAP = 8
 RESIDUAL_TOL = 1e-9
@@ -121,28 +121,22 @@ def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
         raise DegenerateRootsError(f"repeated root indices in {sel}")
     if sel and not (0 <= sel[0] and sel[-1] < m):
         raise SectorError(f"root indices {sel} outside [0, {m})")
+    if m > TRANSFER_M_CAP:  # before _block_basis scans 2^m masks
+        raise TooLargeError(f"m={m} exceeds Bethe eigenpair cap {TRANSFER_M_CAP}")
     lam = complementary_eigenvalue(m, p, sel, b, c)
-    return BetheVector(m, p, sel, _block_basis(m, p), _amplitudes(m, p, sel)), lam
+    amplitudes = tuple(map(complex, _amplitudes(m, p, sel)))
+    return BetheVector(m, p, sel, _block_basis(m, p), amplitudes), lam
 
 
-# verify_sector draws several (b, c) per sector in a row and reuses each of
-# its C(m, p) <= 70 selections (m <= VERIFY_M_CAP) per draw.
-@lru_cache(maxsize=256)
-def _amplitudes(m: int, p: int, sel: tuple[int, ...]) -> tuple[complex, ...]:
-    """det(z_{R_i}^{l_j}) for every basis subset; sel is sorted and valid."""
-    roots = roots_for_sector(m, p)
-    zs = [roots[r] for r in sel]
-    amps: list[complex] = []
-    for mask in _block_basis(m, p):
-        ls = mask_elements(mask)
-        if p == 0:
-            amps.append(1.0 + 0.0j)
-        elif p == 1:
-            amps.append(zs[0] ** ls[0])
-        else:
-            mat = np.array([[z ** l for l in ls] for z in zs], dtype=complex)
-            amps.append(complex(np.linalg.det(mat)))
-    return tuple(amps)
+def _amplitudes(m: int, p: int, sel: tuple[int, ...]) -> np.ndarray:
+    """det(z_{R_i}^{l_j}) for every basis subset {l_1 < .. < l_p}; sel is sorted and valid.
+
+    The p x p matrices gather the Python powers z_r ** l at each subset and
+    go to one stacked determinant; the determinant of a 0 x 0 matrix is 1.
+    """
+    powers = np.array([[z ** l for l in range(m)] for z in roots_for_sector(m, p)])
+    subsets = np.array([mask_elements(mask) for mask in _block_basis(m, p)], dtype=np.intp)
+    return np.linalg.det(powers[list(sel)][:, subsets].swapaxes(0, 1))
 
 
 def eigenvalue_direct(m: int, p: int, selection, b: float, c: float) -> complex:
@@ -195,15 +189,17 @@ class SectorSpectrum:
 
 @lru_cache(maxsize=64)
 def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
-                                                tuple[tuple[int, int], ...], np.ndarray]:
-    """What the dense check needs of sector (m, p) besides the weights.
+                                                tuple[tuple[int, int], ...],
+                                                np.ndarray, np.ndarray]:
+    """Everything the dense check needs of sector (m, p) besides the weights.
 
     Returns ((row, col, monomial index) of every matching of every block
     row, in _count_row order; the distinct monomials b^i c^j those indices
-    point at, as exponent pairs (i, j); omega restricted to the basis).
-    The matching of T in row S != 0 weighs c^d b^(m-p-d) with
-    d = (sum T - sum S) mod m; the p = 0 entry lists b^m, then c^m.  The
-    arrays are read-only.
+    point at, as exponent pairs (i, j); the C(m, p) x C(m, p) amplitude
+    matrix, one row per selection in selections_for_sector order; omega
+    restricted to the basis).  The matching of T in row S != 0 weighs
+    c^d b^(m-p-d) with d = (sum T - sum S) mod m; the p = 0 entry lists
+    b^m, then c^m.  The arrays are read-only.
     """
     basis = _block_basis(m, p)
     index = {mask: i for i, mask in enumerate(basis)}
@@ -220,29 +216,30 @@ def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     omega = boundary_vector(m)
     arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
               np.array(which, dtype=np.intp),
+              np.array([_amplitudes(m, p, sel) for sel in selections_for_sector(m, p)]),
               np.array([omega.get(mask, 0) for mask in basis], dtype=float))
     for arr in arrays:
         arr.flags.writeable = False
-    return arrays[:3], tuple(monos), arrays[3]
+    return arrays[:3], tuple(monos), arrays[3], arrays[4]
 
 
-def _dense_block(m: int, p: int, b: float, c: float) -> tuple[np.ndarray, tuple[int, ...]]:
+def _dense_block(m: int, p: int, b: float, c: float) -> np.ndarray:
     """B_p at weights (b, c); each distinct monomial is evaluated once, as a float."""
-    (rows, cols, which), monos, _ = _block_structure(m, p)
+    (rows, cols, which), monos, *_ = _block_structure(m, p)
     values = np.array([b ** be * c ** ce for be, ce in monos], dtype=float)
-    basis = _block_basis(m, p)
-    mat = np.zeros((len(basis), len(basis)))
+    mat = np.zeros((math.comb(m, p), math.comb(m, p)))
     np.add.at(mat, (rows, cols), values[which])
-    return mat, basis
+    return mat
 
 
 def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpectrum:
     """Check every Bethe eigenpair of block B_p against the dense matrix.
 
-    Residual ||B v - lambda v||_2 / ||v||_2 must stay below RESIDUAL_TOL
-    for all C(m, p) selections, and the vectors must span the block.  A NaN
-    residual fails the check; weights whose block entries overflow a float
-    raise InvalidParamsError.
+    The eigenvectors are the rows of the cached amplitude matrix.  Residual
+    ||B v - lambda v||_2 / ||v||_2 must stay below RESIDUAL_TOL for all
+    C(m, p) selections, and the matrix must have full rank.  A NaN residual
+    fails the check; weights whose block entries overflow a float raise
+    InvalidParamsError.
     """
     _check_sector(m, p)
     if not (math.isfinite(b) and math.isfinite(c)):
@@ -250,32 +247,28 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
     if m > VERIFY_M_CAP:
         raise TooLargeError(f"m={m} exceeds dense verification cap {VERIFY_M_CAP}")
     try:
-        block, basis = _dense_block(m, p, b, c)
+        block = _dense_block(m, p, b, c)
     except OverflowError:
         raise InvalidParamsError(
             f"weights b={b}, c={c} overflow a float in sector (m={m}, p={p})") from None
     roots = roots_for_sector(m, p)
-    omega_vec = _block_structure(m, p)[2]
+    *_, amplitudes, omega_vec = _block_structure(m, p)
 
     entries: list[SpectrumEntry] = []
-    vectors = np.zeros((math.comb(m, p), len(basis)), dtype=complex)
-    for row, sel in enumerate(selections_for_sector(m, p)):
-        vec, lam = bethe_eigenpair(m, p, sel, b, c)
-        v = np.array(vec.amplitudes, dtype=complex)
-        residual = float(np.linalg.norm(block @ v - lam * v) / np.linalg.norm(v))
-        vectors[row] = v
+    for sel, v in zip(selections_for_sector(m, p), amplitudes):
+        lam = complementary_eigenvalue(m, p, sel, b, c)
         entries.append(SpectrumEntry(
             selection=sel,
             roots=tuple(roots[r] for r in sel),
             eigenvalue=lam,
-            residual=residual,
+            residual=float(np.linalg.norm(block @ v - lam * v) / np.linalg.norm(v)),
             omega_overlap=complex(omega_vec @ v),
         ))
     worst = float(np.max([e.residual for e in entries]))  # NaN propagates
     if not worst <= RESIDUAL_TOL:
         raise ResidualExceededError(
             f"sector (m={m}, p={p}, b={b}, c={c}): residual {worst:.3e} > {RESIDUAL_TOL:.1e}")
-    rank = int(np.linalg.matrix_rank(vectors))
+    rank = int(np.linalg.matrix_rank(amplitudes))
     if rank != math.comb(m, p):
         raise RankDeficientError(
             f"sector (m={m}, p={p}): eigenvectors span rank {rank} < {math.comb(m, p)}")

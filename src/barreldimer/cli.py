@@ -33,10 +33,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 # Most edge ids one `sample` call may hold and print: samples x m(k+2).
 SAMPLE_IDS_CAP = 5_000_000
-# Most vertices `render` draws without the sampler.  Finding a matching by
-# enumeration recurses once per matched edge and hits Python's default
-# recursion limit at 1,980-2,000 vertices; the cap leaves room for callers'
-# frames.
+# Most vertices `render` draws without the sampler.  The SVG grows linearly
+# with the graph, by 0.2-0.3 kB per vertex.
 RENDER_VERTEX_CAP = 1_500
 
 

@@ -365,34 +365,50 @@ def count_matchings_brute(g: BarrelGraph, *, vertex_cap: int = BRUTE_VERTEX_CAP)
 
 
 def enumerate_matchings(g: BarrelGraph, *, cap: int = ENUMERATION_CAP) -> Iterator[Matching]:
-    """Yield every perfect matching, in the deterministic backtracking order."""
+    """Yield every perfect matching, in the deterministic backtracking order.
+
+    The search keeps its own stack of [vertex, untried neighbours, partner]
+    frames, one per matched edge, so its depth is not bounded by the
+    interpreter's recursion limit.
+    """
     n = g.n_vertices
     adjacency = g.adjacency
     covered = bytearray(n)
     chosen: list[int] = []
+    frames: list[list] = []
     produced = 0
-
-    def emit(lo: int) -> Iterator[Matching]:
-        nonlocal produced
+    lo = 0
+    while True:
         while lo < n and covered[lo]:
             lo += 1
-        if lo == n:
+        if lo < n:
+            covered[lo] = 1
+            frames.append([lo, iter(adjacency[lo]), None])
+        else:
             produced += 1
             if produced > cap:
                 raise TooManyMatchingsError(f"more than {cap} perfect matchings")
             yield Matching(frozenset(chosen))
-            return
-        covered[lo] = 1
-        for u, eid in adjacency[lo]:
-            if not covered[u]:
-                covered[u] = 1
-                chosen.append(eid)
-                yield from emit(lo + 1)
+        # give the deepest frame its next free partner; drop the frames that have none
+        while frames:
+            frame = frames[-1]
+            if frame[2] is not None:
+                covered[frame[2]] = 0
                 chosen.pop()
-                covered[u] = 0
-        covered[lo] = 0
-
-    return emit(0)
+            for u, eid in frame[1]:
+                if not covered[u]:
+                    covered[u] = 1
+                    chosen.append(eid)
+                    frame[2] = u
+                    break
+            else:
+                covered[frame[0]] = 0
+                frames.pop()
+                continue
+            lo = frame[0] + 1
+            break
+        else:
+            return
 
 
 def is_perfect(g: BarrelGraph, matching: Matching) -> bool:

@@ -8,12 +8,18 @@ can arbitrate between them on small instances.
 The per-entry arc reference builds one transfer entry at a time from the
 arcs of the punctured big cycle, one (b_exp, c_exp) pair per matching,
 where the library generates whole rows from the gap product.
+
+The recursive enumerator and the entry-by-entry amplitude loop are the
+earlier forms of the library's explicit-stack enumeration and stacked
+determinants; the library must reproduce their order and their bits.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from barreldimer.errors import InvalidParamsError
 from barreldimer.transfer import mask_elements
@@ -107,3 +113,49 @@ def weighted_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int])
 def cycle_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int]) -> int:
     """Unweighted entry: number of perfect matchings of the punctured C_{2m}."""
     return len(weighted_block_entry(m, S, T))
+
+
+def matchings_by_recursion(adjacency: Sequence[Sequence[tuple[int, int]]]) -> Iterator[frozenset[int]]:
+    """Edge-id sets of every perfect matching, one recursion level per matched edge.
+
+    Backtracks on the lowest uncovered vertex, trying its neighbours in
+    adjacency order.
+    """
+    n = len(adjacency)
+    covered = bytearray(n)
+    chosen: list[int] = []
+
+    def emit(lo: int) -> Iterator[frozenset[int]]:
+        while lo < n and covered[lo]:
+            lo += 1
+        if lo == n:
+            yield frozenset(chosen)
+            return
+        covered[lo] = 1
+        for u, eid in adjacency[lo]:
+            if not covered[u]:
+                covered[u] = 1
+                chosen.append(eid)
+                yield from emit(lo + 1)
+                chosen.pop()
+                covered[u] = 0
+        covered[lo] = 0
+
+    return emit(0)
+
+
+def amplitudes_by_entry(roots: Sequence[complex], sel: Sequence[int],
+                        basis: Sequence[int]) -> tuple[complex, ...]:
+    """det(z_{R_i}^{l_j}) one basis mask at a time, with p = 0 and p = 1 by hand."""
+    zs = [roots[r] for r in sel]
+    amps: list[complex] = []
+    for mask in basis:
+        ls = mask_elements(mask)
+        if not zs:
+            amps.append(1.0 + 0.0j)
+        elif len(zs) == 1:
+            amps.append(zs[0] ** ls[0])
+        else:
+            mat = np.array([[z ** l for l in ls] for z in zs], dtype=complex)
+            amps.append(complex(np.linalg.det(mat)))
+    return tuple(amps)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from barreldimer import bethe, errors, transfer
-from conftest import weighted_block_entry
+from conftest import amplitudes_by_entry, weighted_block_entry
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +148,7 @@ def _dense_block_reference(m, p, b, c):
 @pytest.mark.parametrize("m", range(3, 9))
 def test_cached_block_structure_gives_the_same_matrices(m):
     for p in range(m + 1):
-        block, basis = bethe._dense_block(m, p, 2.0, 3.0)
-        assert basis == bethe._block_basis(m, p)
+        block = bethe._dense_block(m, p, 2.0, 3.0)
         assert np.array_equal(block, _dense_block_reference(m, p, 2.0, 3.0)), p
 
 
@@ -157,22 +156,51 @@ def test_cached_block_structure_gives_the_same_matrices(m):
 def test_cached_omega_overlap_is_the_boundary_vector(m):
     omega = transfer.boundary_vector(m)
     for p in range(m + 1):
-        *_, omega_vec = bethe._block_structure(m, p)
+        *_, amplitudes, omega_vec = bethe._block_structure(m, p)
         assert list(omega_vec) == [omega.get(mask, 0) for mask in bethe._block_basis(m, p)]
         assert not omega_vec.flags.writeable
+        assert not amplitudes.flags.writeable
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_stacked_amplitudes_equal_the_entry_loop(m):
+    """Every row of the sector's amplitude matrix, bit for bit."""
+    for p in range(m + 1):
+        *_, amplitudes, _ = bethe._block_structure(m, p)
+        roots, basis = bethe.roots_for_sector(m, p), bethe._block_basis(m, p)
+        for sel, row in zip(bethe.selections_for_sector(m, p), amplitudes, strict=True):
+            want = amplitudes_by_entry(roots, sel, basis)
+            assert tuple(row.tolist()) == want, (p, sel)
+            assert bethe.bethe_eigenpair(m, p, sel)[0].amplitudes == want, (p, sel)
 
 
 def test_block_structure_cache_is_bounded():
     assert bethe._block_structure.cache_info().maxsize is not None
 
 
+def test_verify_sector_rank_deficiency_fails(monkeypatch):
+    real = np.linalg.matrix_rank
+    monkeypatch.setattr(bethe.np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
+    with pytest.raises(errors.RankDeficientError):
+        bethe.verify_sector(4, 2)
+
+
+def test_eigenpair_refuses_m_above_the_cap_before_the_basis_scan(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("basis scanned despite the eigenpair cap")
+
+    monkeypatch.setattr(bethe, "_block_basis", unreachable)
+    with pytest.raises(errors.TooLargeError):
+        bethe.bethe_eigenpair(transfer.TRANSFER_M_CAP + 1, 1, (0,))
+
+
 def test_verify_sector_nan_residual_fails(monkeypatch):
     real = bethe._dense_block
 
     def poisoned(m, p, b, c):
-        block, basis = real(m, p, b, c)
+        block = real(m, p, b, c)
         block[0, 0] = math.nan
-        return block, basis
+        return block
 
     monkeypatch.setattr(bethe, "_dense_block", poisoned)
     with pytest.raises(errors.ResidualExceededError):

@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
-from barreldimer import cli, graph, transfer
+from barreldimer import bethe, cli, graph, transfer
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -184,6 +184,15 @@ def test_spectrum_overflowing_weight_exits_one(weight):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_spectrum_rank_deficiency_exits_one(monkeypatch, capsys):
+    real = bethe.np.linalg.matrix_rank
+    monkeypatch.setattr(bethe.np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
+    assert cli.main(["spectrum", "--m", "4", "--p", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "rank 5 < 6" in captured.err
+    assert captured.out == ""
 
 
 def test_bare_value_error_escapes_main(monkeypatch):
@@ -415,7 +424,7 @@ def test_render_vertex_cap_exits_one_before_the_graph_is_built(monkeypatch, caps
 
 
 def test_render_enumerates_at_the_vertex_cap(tmp_path):
-    """The cap keeps the enumeration's recursion inside the interpreter's limit."""
+    """A view at the cap is drawn from the first enumerated matching."""
     m = 3
     k = cli.RENDER_VERTEX_CAP // (2 * m) - 2
     assert graph.BarrelParams(m, k).n_vertices == cli.RENDER_VERTEX_CAP

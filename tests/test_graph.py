@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from barreldimer import errors, graph
-from conftest import pm_count_by_subsets
+from conftest import matchings_by_recursion, pm_count_by_subsets
 
 
 def barrel(m: int, k: int) -> graph.BarrelGraph:
@@ -176,6 +176,20 @@ def test_enumeration_is_exhaustive_and_deterministic():
     assert len(first) == 17
     assert len(set(first)) == 17
     assert all(graph.is_perfect(g, mt) for mt in first)
+
+
+@pytest.mark.parametrize("m,k", [(4, 1), (3, 2), (5, 0)])
+def test_enumeration_order_matches_the_recursive_reference(m, k):
+    """The order fixes which matching `render --index` draws."""
+    g = barrel(m, k)
+    got = [mt.edges for mt in graph.enumerate_matchings(g)]
+    assert got == list(matchings_by_recursion(g.adjacency))
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit():
+    g = barrel(3, 400)
+    assert g.n_vertices > 2000
+    assert graph.is_perfect(g, next(graph.enumerate_matchings(g)))
 
 
 def test_enumeration_cap_raises():

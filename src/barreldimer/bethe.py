@@ -65,8 +65,13 @@ def _check_sector(m: int, p: int) -> None:
         raise SectorError(f"sector p={p} outside [0, {m}]")
 
 
+@lru_cache(maxsize=64)
 def roots_for_sector(m: int, p: int) -> tuple[complex, ...]:
-    """The m solutions of z^m = (-1)^(p+1) in canonical index order."""
+    """The m solutions of z^m = (-1)^(p+1) in canonical index order.
+
+    Cached per (m, p): the eigenvalue of every selection reads them.  A bad
+    (m, p) raises on every call, since lru_cache keeps no exception.
+    """
     _check_sector(m, p)
     eps = 1 if p % 2 == 0 else 0
     return tuple(cmath.exp(1j * math.pi * (2 * r + eps) / m) for r in range(m))

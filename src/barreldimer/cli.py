@@ -33,7 +33,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 # Most edge ids one `sample` call may hold and print: samples x m(k+2).
 SAMPLE_IDS_CAP = 5_000_000
-# Most vertices `render` draws without the sampler.  The SVG grows linearly
+# Most vertices `render` draws, sampled or not.  The SVG grows linearly
 # with the graph, by 0.2-0.3 kB per vertex.
 RENDER_VERTEX_CAP = 1_500
 
@@ -308,12 +308,11 @@ def cmd_sample(args) -> int:
 def cmd_render(args) -> int:
     matching = None
     params = BarrelParams(args.m, args.k)
-    if args.what != "graph" and args.seed is not None:
-        # the sampler's size cap applies before any graph is built
-        matching = transfer.sample_uniform(args.m, args.k, args.seed)
-    elif params.n_vertices > RENDER_VERTEX_CAP:  # before the graph is built
+    if params.n_vertices > RENDER_VERTEX_CAP:  # before the sampler or the graph is built
         raise TooLargeError(f"{params.n_vertices} vertices exceeds render cap "
                             f"{RENDER_VERTEX_CAP}")
+    if args.what != "graph" and args.seed is not None:
+        matching = transfer.sample_uniform(args.m, args.k, args.seed)
     g = build_graph(params)
     if args.what != "graph" and matching is None:
         index = args.index if args.index is not None else 0

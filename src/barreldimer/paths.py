@@ -60,11 +60,13 @@ from .graph import (
     Matching,
     horizontal_profile,
 )
-from .transfer import TRANSFER_M_CAP, boundary_vector
+from .transfer import boundary_vector
 
 LEADING_TOL = 1e-12
 # Each walker step visits up to 2^m slot masks with integers of ~k log2 rho
 # bits; total_via_paths(12, 500) takes 2 s on 2 cores, (16, 40) 7 s.
+# The m cap is the DP's own, apart from the transfer cap: (14, 100) takes 7.6 s.
+PATHS_M_CAP = 16
 PATHS_K_CAP = 500
 
 
@@ -200,8 +202,8 @@ def _walk(m: int, k: int, vec: dict[int, int]) -> dict[int, int]:
 
 def _check_size(m: int, k: int) -> None:
     BarrelParams(m, k)
-    if m > TRANSFER_M_CAP:
-        raise TooLargeError(f"m={m} exceeds path DP cap {TRANSFER_M_CAP}")
+    if m > PATHS_M_CAP:
+        raise TooLargeError(f"m={m} exceeds path DP cap {PATHS_M_CAP}")
     if k > PATHS_K_CAP:
         raise TooLargeError(f"k={k} exceeds path DP cap {PATHS_K_CAP}")
 

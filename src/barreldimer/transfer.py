@@ -27,21 +27,30 @@ the row action
 which pins down the orientation conventions used everywhere else.
 
 Rotating S and T together by one slot rotates C_{2m} by two positions,
-so entry(S, T) is invariant under it, and so is omega.  Every vector
-A^j omega is therefore constant on necklace classes, and the exact counts
-run on the classes c = 0 .. C-1 (numbered by their representative r, the
-least mask of each rotation orbit, |r| = m mod 2) with the reduced operator
+so entry(S, T) is invariant under it, and so is omega.  Reflecting C_{2m}
+by x -> -x mod 2m sends the removed evens 2l to 2(-l) and the removed odds
+2l+1 to 2(m-1-l)+1, so entry(sigma S, tau T) = entry(S, T) with
+sigma(l) = -l and tau(l) = m-1-l.  Every dihedral map of C_m fixes omega,
+and tau is sigma followed by a rotation, so if w is invariant under the
+dihedral group then (A w)(sigma S) = sum_T entry(S, T) w(tau T) = (A w)(S).
+Every vector A^j omega is therefore constant on bracelet classes, the
+orbits of masks under rotation and the reversal l -> m-1-l, and the exact
+counts run on the classes c = 0 .. C-1 (numbered by their representative
+r, the least mask of each orbit, |r| = m mod 2) with the reduced operator
 
     Q[r, c] = sum of entry(r, t) over the t in class c,
     Phi     = sum_c omega_c |orbit c| (Q^(k+1) omega)_c.
 
-At m = 14 this is 596 states and 21,388 nonzeros, against 8192 states
-and 355,322 nonzeros of the parity block of A; rows are generated for
-the representatives only.  _count_row is the one source of rows for the
-kernel, the sampler, the unreduced operator and the Bethe blocks; it lists
-each target T of row S with its entry and caches nothing, and the weight
-of a matching follows from S and T alone (see _count_row).  Vectors are
-plain lists indexed by class, and a row is the tuple of the class indices
+At m = 14 this is 362 states, 15,676 listed row entries and 9,514
+distinct nonzeros, against 8192 states and 355,322 nonzeros of the parity
+block of A; rows are generated for the representatives only.  Reflection
+swaps the b and c weights of the cycle edges, so the reduction holds for
+the integer operator only: the Bethe blocks read _count_row, never the
+classes.  _count_row is the one source of rows for the kernel, the
+sampler, the unreduced operator and the Bethe blocks; it lists each
+target T of row S with its entry and caches nothing, and the weight of a
+matching follows from S and T alone (see _count_row).  Vectors are plain
+lists indexed by class, and a row is the tuple of the class indices
 canon[t], each t listed entry(r, t) times, so one matvec step is
 sum(map(vec.__getitem__, row)) per row: the additions run in C with no
 dict lookups.  The sampler keeps its suffix vectors on the classes too and
@@ -205,17 +214,20 @@ def build_transfer(m: int, mode: str = "count", *,
 
 
 # ---------------------------------------------------------------------------
-# exact counts on rotation classes
+# exact counts on bracelet classes
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _necklaces(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Rotation classes of the profiles |S| = m mod 2, numbered 0 .. C-1.
+def _classes(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Bracelet classes of the profiles |S| = m mod 2, numbered 0 .. C-1.
 
-    Returns (canon, reps, sizes): canon[S] is the index of the class of S
-    (-1 for the other parity), reps[c] the least mask of class c and
-    sizes[c] its number of masks.  Classes are numbered by ascending
-    representative.
+    A class is the orbit of a mask under rotation and under the reversal
+    l -> m-1-l, so its size divides 2m.  Returns (canon, reps, sizes):
+    canon[S] is the index of the class of S (-1 for the other parity),
+    reps[c] the least mask of class c and sizes[c] its number of masks.
+    Classes are numbered by ascending representative.  The reversal is
+    taken once per class, from the elements of its representative; a 2^m
+    table of reversals would raise the peak memory of every count.
     """
     full = (1 << m) - 1
     canon = [-1] * (1 << m)
@@ -225,11 +237,13 @@ def _necklaces(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
         if canon[mask] >= 0 or not _has_parity(m, mask):
             continue
         c = len(reps)
-        x, size = mask, 0
-        while canon[x] < 0:
-            canon[x] = c
-            size += 1
-            x = (x << 1 | x >> (m - 1)) & full
+        size = 0
+        reversed_mask = sum(1 << (m - 1 - l) for l in mask_elements(mask))
+        for x in (mask, reversed_mask):  # the second orbit is empty when the first holds it
+            while canon[x] < 0:
+                canon[x] = c
+                size += 1
+                x = (x << 1 | x >> (m - 1)) & full
         reps.append(mask)
         sizes.append(size)
     return tuple(canon), tuple(reps), tuple(sizes)
@@ -239,7 +253,7 @@ def _class_row(m: int,
                row: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row ((T, entry), ...) as (targets, classes): each T listed entry times,
     in row order, and the class index canon[T] of each."""
-    canon = _necklaces(m)[0]
+    canon = _classes(m)[0]
     targets = _listed(row)
     return targets, tuple(map(canon.__getitem__, targets))
 
@@ -258,14 +272,14 @@ def _class_power(m: int, k: int, omega: Mapping[int, int], p: int | None = None,
                  keep: bool = False) -> tuple[int, list[list[int]]]:
     """<omega| A^(k+1) |omega> summed over the classes of cardinality p (all if None).
 
-    Every vector A^j omega is constant on rotation classes, so the loop runs
+    Every vector A^j omega is constant on bracelet classes, so the loop runs
     on lists indexed by class, with row r the class indices of _class_row
     of _count_row(m, r) (empty outside sector p), and the result is
     sum_c omega_c |orbit c| v_c.  omega is boundary_vector(m).  Nothing
     caches the rows: they are rebuilt from _count_row on every call.  With
     keep, the reduced vectors Q^j omega for j = 0 .. k+1 come back as well.
     """
-    _, reps, sizes = _necklaces(m)
+    _, reps, sizes = _classes(m)
     inside = [p is None or bin(r).count("1") == p for r in reps]
     rows = [_class_row(m, _count_row(m, r))[1] if ok else () for r, ok in zip(reps, inside)]
     start = [omega.get(r, 0) if ok else 0 for r, ok in zip(reps, inside)]
@@ -433,24 +447,27 @@ def _kept_bytes(m: int, k: int) -> int:
     q, r = divmod(m, 3)
     row_max = 3 ** q if r == 0 else 4 * 3 ** (q - 1) if r == 1 else 2 * 3 ** q
     bits = 2 + math.ceil((k + 1) * math.log2(row_max))
-    return (k + 2) * (len(_necklaces(m)[1]) * (bits // 8 + 64) + 128)
+    return (k + 2) * (len(_classes(m)[1]) * (bits // 8 + 64) + 128)
 
 
 class UniformSampler:
     """Exact uniform sampler over perfect matchings of F(m, k).
 
     Precomputes the suffix weights W_j = A^(k+1-j) omega, kept once per
-    rotation class as lists indexed by class since W_j is
-    rotation-invariant, then draws the profile layer by layer with
-    conditional probabilities proportional to exact integer completion
-    counts, finally filling the forced cycle and cap matchings (the only
-    free choices are the 2-way alternations at empty layers of even m).
+    bracelet class as lists indexed by class since W_j is invariant under
+    rotation and reversal (see the module docstring), then draws the
+    profile layer by layer with conditional probabilities proportional to
+    exact integer completion counts, finally filling the forced cycle and
+    cap matchings (the only free choices are the 2-way alternations at
+    empty layers of even m).
     Since W_{j-1} = A W_j, the weight of every choice is already stored,
     W_{j-1}[S_{j-1}] (total for the first layer), and each layer scans its
     row against it only up to the hit.  The rows are the (targets, classes)
     pairs of _class_row for _count_row(m, S), built the first time a draw
     reaches S and kept by the sampler; the first layer's row lists omega
-    the same way.
+    the same way.  Draws walk the actual masks of each row, and the
+    class of T only looks up W_j(T), so the choice of classes moves no
+    weight and no sampled byte.
     The chosen position gives both the next mask and its class.
 
     The fill works on slot masks.  Between a = S_(j-1) and b = S_j, big
@@ -479,7 +496,7 @@ class UniformSampler:
         self._omega_row = _class_row(m, sorted(omega.items()))
         self._rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * (1 << m)
         self.total, suffix = _class_power(m, k, omega, keep=True)
-        suffix.reverse()  # suffix[j] = W_j on rotation classes, j = 0 .. k+1
+        suffix.reverse()  # suffix[j] = W_j on bracelet classes, j = 0 .. k+1
         self._suffix = suffix
 
         g = self.graph

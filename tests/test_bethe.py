@@ -39,6 +39,22 @@ def test_root_power_sign_rule(m):
         assert np.allclose(roots ** m, (-1.0) ** (p + 1))
 
 
+def test_roots_are_cached_per_sector():
+    roots = bethe.roots_for_sector(7, 3)
+    assert isinstance(roots, tuple) and len(roots) == 7
+    assert bethe.roots_for_sector(7, 3) is roots
+    assert bethe.roots_for_sector(7, 2) is not roots
+
+
+@pytest.mark.parametrize("m, p, error", [
+    (5, 6, errors.SectorError), (5, -1, errors.SectorError), (2, 0, errors.InvalidParamsError),
+])
+def test_bad_sector_raises_on_every_call(m, p, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            bethe.roots_for_sector(m, p)
+
+
 def test_selections_are_colex_ordered():
     sels = bethe.selections_for_sector(4, 2)
     assert sels == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))

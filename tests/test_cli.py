@@ -328,10 +328,14 @@ def test_sample_at_the_benchmark_size_is_under_the_cap():
     ["render", "--what", "tiling", "--seed", "0"],
 ])
 def test_sampler_memory_cap_exits_one(command):
-    """k = 10^5 at m = 16 would keep terabytes of suffix weights; refused at once."""
+    """k = 10^5 at m = 16 would keep terabytes of suffix weights; refused at once.
+
+    A seeded render meets the vertex cap, which is far tighter, before the sampler's.
+    """
     proc = run_cli(*command, "--m", "16", "--k", "100000")
+    message = "MiB" if command[0] == "sample" else "3200064 vertices exceeds render cap"
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "MiB" in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stdout == ""
 
 
@@ -410,17 +414,30 @@ def test_render_paths_walker_polylines(tmp_path):
 
 @pytest.mark.parametrize("view", [
     ["--what", "graph"], ["--what", "graph", "--seed", "0"], ["--what", "tiling"],
-    ["--what", "paths", "--index", "3"],
+    ["--what", "paths", "--index", "3"], ["--what", "tiling", "--seed", "0"],
 ])
 def test_render_vertex_cap_exits_one_before_the_graph_is_built(monkeypatch, capsys, view):
+    """Seeded or not, the cap is met before the sampler or the graph is built."""
     def unreachable(*args):
-        raise AssertionError("graph built despite the render cap")
+        raise AssertionError("graph built or sampled despite the render cap")
 
     monkeypatch.setattr(cli, "build_graph", unreachable)
+    monkeypatch.setattr(transfer, "sample_uniform", unreachable)
     assert cli.main(["render", "--m", "3", "--k", "249", *view]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert f"1506 vertices exceeds render cap {cli.RENDER_VERTEX_CAP}" in captured.err
+
+
+def test_seeded_render_at_the_vertex_cap(tmp_path):
+    """A seeded view at the cap is sampled and drawn, one rhombus per matched edge."""
+    m = 3
+    k = cli.RENDER_VERTEX_CAP // (2 * m) - 2
+    assert graph.BarrelParams(m, k).n_vertices == cli.RENDER_VERTEX_CAP
+    out = tmp_path / "t.svg"
+    assert cli.main(["render", "--m", str(m), "--k", str(k), "--what", "tiling", "--seed", "0",
+                     "--out", str(out)]) == 0
+    assert svg_counts(out.read_text())["polygon"] == cli.RENDER_VERTEX_CAP // 2
 
 
 def test_render_enumerates_at_the_vertex_cap(tmp_path):

@@ -199,6 +199,18 @@ def test_total_via_paths_rejects_large_m():
         paths.total_via_paths(17, 0)
 
 
+def test_paths_m_cap_is_apart_from_the_transfer_cap(monkeypatch):
+    """Lowering the transfer cap neither stops the walker DP nor lifts its own cap."""
+    want = transfer.count_matchings_transfer(12, 2)
+    monkeypatch.setattr(transfer, "TRANSFER_M_CAP", 10)
+    with pytest.raises(errors.TooLargeError):
+        transfer.count_matchings_transfer(12, 2)
+    assert paths.PATHS_M_CAP == 16
+    assert paths.total_via_paths(12, 2) == want
+    with pytest.raises(errors.TooLargeError, match=f"m=17 exceeds path DP cap {paths.PATHS_M_CAP}"):
+        paths.total_via_paths(17, 0)
+
+
 def test_path_counts_refuse_k_over_the_cap(monkeypatch):
     k = paths.PATHS_K_CAP + 1
     with pytest.raises(errors.TooLargeError, match="k="):

@@ -31,7 +31,7 @@ def _list_and_sum_draw(sampler, rng):
     the fill that follows is the sampler's own, step for step.
     """
     m, k, g = sampler.m, sampler.k, sampler.graph
-    canon = transfer._necklaces(m)[0]
+    canon = transfer._classes(m)[0]
     omega = sorted(transfer.boundary_vector(m).items())
     w0 = sampler._suffix[0]
     items = [(s, w * x) for s, w in omega if (x := w0[canon[s]])]
@@ -123,7 +123,7 @@ def test_sector_frequency_tracks_exact_ratio_f40():
 def test_suffix_rows_sum_to_stored_totals(m, k):
     """The totals the prefix scan draws against: W_{j-1}[S] = sum_T A[S, T] W_j[T]."""
     sampler = transfer.UniformSampler(m, k)
-    canon, suffix = transfer._necklaces(m)[0], sampler._suffix
+    canon, suffix = transfer._classes(m)[0], sampler._suffix
     omega = transfer.boundary_vector(m)
     assert sum(w * suffix[0][canon[s]] for s, w in omega.items()) == sampler.total
     for s_mask in range(1 << m):
@@ -223,7 +223,7 @@ def test_kept_bytes_bounds_the_kept_vectors(m, k):
     entries = sum(len(vec) for vec in sampler._suffix)
     est = transfer._kept_bytes(m, k)
     assert est >= entries * (_largest_kept_bits(sampler) // 8 + 64)
-    assert entries <= (k + 2) * len(transfer._necklaces(m)[1])
+    assert entries <= (k + 2) * len(transfer._classes(m)[1])
 
 
 @pytest.mark.parametrize("m,k", [(3, 0), (4, 7), (6, 20), (9, 5), (12, 30), (12, 200)])

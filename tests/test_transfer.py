@@ -368,26 +368,61 @@ def test_class_kernel_matches_unreduced_operator_and_paths(m, k):
     assert total == paths.total_via_paths(m, k)
     assert sum(transfer.sector_count(m, k, p) for p in range(m % 2, m + 1, 2)) == total
 
-    canon, reps, sizes = transfer._necklaces(m)
+    canon, reps, sizes = transfer._classes(m)
     assert len(reps) == len(sizes)
     assert list(reps) == sorted(reps)
     assert all(canon[r] == c for c, r in enumerate(reps))
-    assert all(m % size == 0 for size in sizes)
+    assert all(2 * m % size == 0 for size in sizes)
     assert sum(sizes) == 2 ** (m - 1)
     for mask in range(1 << m):
         if bin(mask).count("1") % 2 != m % 2:
             assert canon[mask] == -1
             continue
-        rotated = (mask << 1 | mask >> (m - 1)) & ((1 << m) - 1)
         assert 0 <= canon[mask] < len(reps) and reps[canon[mask]] <= mask
-        assert canon[rotated] == canon[mask]
+        assert canon[rotate(m, mask)] == canon[mask]
+        assert canon[reverse(m, mask)] == canon[mask]
     assert Counter(c for c in canon if c >= 0) == dict(enumerate(sizes))
+    for c, r in enumerate(reps):
+        assert {mask for mask in range(1 << m) if canon[mask] == c} == dihedral_orbit(m, r)
+
+
+def rotate(m: int, mask: int) -> int:
+    """S -> S + 1 on slots mod m."""
+    return (mask << 1 | mask >> (m - 1)) & ((1 << m) - 1)
+
+
+def reverse(m: int, mask: int) -> int:
+    """S -> {m-1-l : l in S}, by reading the m-digit binary string backwards."""
+    return int(format(mask, f"0{m}b")[::-1], 2)
+
+
+def dihedral_orbit(m: int, mask: int) -> set[int]:
+    orbit = set()
+    for x in (mask, reverse(m, mask)):
+        for _ in range(m):
+            orbit.add(x)
+            x = rotate(m, x)
+    return orbit
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_unreduced_iterates_are_invariant_under_reversal(m):
+    """A^j omega of the unreduced operator, j <= 6, takes equal values at S and its reversal.
+
+    This is the property the bracelet classes rest on, checked without the kernel.
+    """
+    op = transfer.build_transfer(m)
+    vec = transfer.boundary_vector(m)
+    for j in range(7):
+        assert vec, j
+        assert all(vec.get(reverse(m, s), 0) == value for s, value in vec.items()), j
+        vec = op.apply(vec)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_class_row_lists_each_target_entry_times(m):
     """For every mask: T of _count_row(m, S) entry(S, T) times, ascending, with canon[T]."""
-    canon = transfer._necklaces(m)[0]
+    canon = transfer._classes(m)[0]
     for s_mask in range(1 << m):
         row = transfer._count_row(m, s_mask)
         targets, classes = transfer._class_row(m, row)
@@ -401,7 +436,7 @@ def test_kept_class_vectors_are_the_unreduced_iterates(m):
     """_class_power(keep=True) reads A^j omega of the unreduced operator at the representatives."""
     op = transfer.build_transfer(m)
     omega = transfer.boundary_vector(m)
-    reps = transfer._necklaces(m)[1]
+    reps = transfer._classes(m)[1]
     for k in range(7):
         total, vecs = transfer._class_power(m, k, omega, keep=True)
         assert len(vecs) == k + 2

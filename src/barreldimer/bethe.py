@@ -100,8 +100,9 @@ class BetheVector:
 
 @lru_cache(maxsize=64)
 def _block_basis(m: int, p: int) -> tuple[int, ...]:
-    """Masks of cardinality p, ascending (= colex order on subsets)."""
-    return tuple(mask for mask in range(1 << m) if bin(mask).count("1") == p)
+    """Masks of cardinality p, ascending: colex order on p-subsets is ascending
+    mask order, so these are the subsets of selections_for_sector."""
+    return tuple(sum(1 << l for l in subset) for subset in selections_for_sector(m, p))
 
 
 def complementary_eigenvalue(m: int, p: int, selection: tuple[int, ...],
@@ -126,7 +127,7 @@ def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
         raise DegenerateRootsError(f"repeated root indices in {sel}")
     if sel and not (0 <= sel[0] and sel[-1] < m):
         raise SectorError(f"root indices {sel} outside [0, {m})")
-    if m > TRANSFER_M_CAP:  # before _block_basis scans 2^m masks
+    if m > TRANSFER_M_CAP:  # before the basis lists its C(m, p) subsets
         raise TooLargeError(f"m={m} exceeds Bethe eigenpair cap {TRANSFER_M_CAP}")
     lam = complementary_eigenvalue(m, p, sel, b, c)
     amplitudes = tuple(map(complex, _amplitudes(m, p, sel)))
@@ -140,7 +141,7 @@ def _amplitudes(m: int, p: int, sel: tuple[int, ...]) -> np.ndarray:
     go to one stacked determinant; the determinant of a 0 x 0 matrix is 1.
     """
     powers = np.array([[z ** l for l in range(m)] for z in roots_for_sector(m, p)])
-    subsets = np.array([mask_elements(mask) for mask in _block_basis(m, p)], dtype=np.intp)
+    subsets = np.array(selections_for_sector(m, p), dtype=np.intp)
     return np.linalg.det(powers[list(sel)][:, subsets].swapaxes(0, 1))
 
 

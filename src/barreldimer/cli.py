@@ -16,8 +16,6 @@ import json
 import random
 import sys
 
-import jsonschema
-
 from . import bethe, entropy, paths, render, transfer, validate
 from .errors import BarrelError, StructuralViolationError, TooLargeError
 from .graph import (
@@ -53,98 +51,8 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_json(obj: dict, schema: dict, out: str | None) -> None:
-    jsonschema.validate(obj, schema)
+def _emit_json(obj: dict, out: str | None) -> None:
     _write_out(json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n", out)
-
-
-_COUNT_SCHEMA = {
-    "type": "object",
-    "required": ["m", "k", "counts", "agree"],
-    "properties": {
-        "m": {"type": "integer"},
-        "k": {"type": "integer"},
-        "counts": {"type": "object",
-                   "additionalProperties": {"type": "string", "pattern": "^[0-9]+$"}},
-        "agree": {"type": "boolean"},
-    },
-}
-
-_GROWTH_SCHEMA = {
-    "type": "object",
-    "required": ["m", "rho", "p0", "n0", "entropy", "entropy_gap_to_limit"],
-    "properties": {
-        "m": {"type": "integer"},
-        "rho": {"type": "number"},
-        "p0": {"type": "integer"},
-        "n0": {"type": "integer"},
-        "entropy": {"type": "number"},
-        "entropy_gap_to_limit": {"type": "number"},
-    },
-}
-
-_SPECTRUM_SCHEMA = {
-    "type": "object",
-    "required": ["m", "p", "b", "c", "dimension", "rank", "entries"],
-    "properties": {
-        "entries": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["selection", "roots", "eigenvalue", "residual"],
-                "properties": {
-                    "selection": {"type": "array", "items": {"type": "integer"}},
-                    "roots": {"type": "array",
-                              "items": {"type": "array", "items": {"type": "number"},
-                                        "minItems": 2, "maxItems": 2}},
-                    "eigenvalue": {"type": "array", "items": {"type": "number"},
-                                   "minItems": 2, "maxItems": 2},
-                    "residual": {"type": "number"},
-                    "omega_overlap": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-        },
-    },
-}
-
-_ASYMPTOTIC_SCHEMA = {
-    "type": "object",
-    "required": ["m", "k", "n", "estimate"],
-    "properties": {
-        "m": {"type": "integer"},
-        "k": {"type": "integer"},
-        "n": {"type": "integer"},
-        "estimate": {"type": "number"},
-        "base": {"type": "number"},
-        "coefficient_on_base_pow_k": {"type": "number"},
-        "coefficient_on_base_pow_k1": {"type": "number"},
-        "exact_sector": {"type": "string", "pattern": "^[0-9]+$"},
-        "estimate_over_exact": {"type": "number"},
-    },
-}
-
-_VALIDATE_SCHEMA = {
-    "type": "object",
-    "required": ["level", "passed", "criteria"],
-    "properties": {
-        "criteria": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["index", "name", "passed", "detail", "seconds"],
-            },
-        },
-    },
-}
-
-# The ids inside each sample are type-checked in cmd_sample, in one pass.
-_SAMPLE_SCHEMA = {
-    "type": "object",
-    "required": ["m", "k", "seed", "samples"],
-    "properties": {
-        "samples": {"type": "array", "items": {"type": "array"}},
-    },
-}
 
 
 def cmd_count(args) -> int:
@@ -169,7 +77,7 @@ def cmd_count(args) -> int:
         "agree": agree,
     }
     if args.format == "json":
-        _emit_json(obj, _COUNT_SCHEMA, args.out)
+        _emit_json(obj, args.out)
     else:
         lines = [f"{name}: {v}" for name, v in sorted(counts.items())]
         lines.append(f"agree: {agree}")
@@ -190,7 +98,7 @@ def cmd_growth(args) -> int:
         "entropy_gap_to_limit": h - limit,
     }
     if args.format == "json":
-        _emit_json(obj, _GROWTH_SCHEMA, args.out)
+        _emit_json(obj, args.out)
     else:
         text = (f"rho({args.m}) = {rho!r}\n"
                 f"p0 = {obj['p0']}, n0 = {obj['n0']}\n"
@@ -214,7 +122,7 @@ def cmd_spectrum(args) -> int:
            "dimension": spectrum.dimension, "rank": spectrum.rank,
            "max_residual": spectrum.max_residual, "entries": entries}
     if args.format == "json":
-        _emit_json(obj, _SPECTRUM_SCHEMA, args.out)
+        _emit_json(obj, args.out)
     else:
         lines = [f"sector p={args.p} of m={args.m} at b={args.b}, c={args.c}: "
                  f"dim {spectrum.dimension}, rank {spectrum.rank}"]
@@ -245,7 +153,7 @@ def cmd_asymptotic(args) -> int:
         est = paths.krattenthaler_estimate(args.m, args.k, args.eta, args.lam, args.s)
         obj = {"m": args.m, "k": args.k, "n": est.n, "estimate": est.value}
     if args.format == "json":
-        _emit_json(obj, _ASYMPTOTIC_SCHEMA, args.out)
+        _emit_json(obj, args.out)
     else:
         lines = [f"{key} = {value}" for key, value in obj.items()]
         _write_out("\n".join(lines) + "\n", args.out)
@@ -265,7 +173,7 @@ def cmd_validate(args) -> int:
                 for r in results
             ],
         }
-        _emit_json(obj, _VALIDATE_SCHEMA, args.out)
+        _emit_json(obj, args.out)
     else:
         lines = []
         for r in results:
@@ -289,7 +197,7 @@ def cmd_sample(args) -> int:
     if args.format == "json":
         obj = {"m": args.m, "k": args.k, "seed": args.seed,
                "samples": [list(ids) for ids in draws]}
-        _emit_json(obj, _SAMPLE_SCHEMA, args.out)
+        _emit_json(obj, args.out)
     elif args.format == "csv":
         freqs: dict[tuple[int, ...], int] = {}
         for ids in draws:

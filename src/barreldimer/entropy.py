@@ -32,6 +32,8 @@ from .errors import FormulaMismatchError, InvalidParamsError, ToleranceError
 
 H_INF_REFERENCE = 0.1615329736
 LIMIT_AGREEMENT_TOL = 1e-10
+# Largest accepted gap between the QUADRATURE_NODES and CHECK_NODES rules.
+QUADRATURE_TOL = 1e-10
 TABLE_CRITERION_TOL = 1e-3
 # The remainder is analytic on [0, pi/3] and 8 nodes already reach rounding
 # level; the 16-node value is used and its gap to the 8-node value is the
@@ -53,21 +55,21 @@ def _smooth_integral(nodes: int) -> float:
     return half * math.fsum(w * np.log(np.sin(t) / t))
 
 
-def limit_entropy_quadrature(tol: float = 1e-10) -> float:
+def limit_entropy_quadrature() -> float:
     """h_inf by Gauss-Legendre quadrature with an exact singular part.
 
     integral_0^{pi/3} log(2 sin t) dt
         = (pi/3)(log(2 pi / 3) - 1) + integral_0^{pi/3} log(sin t / t) dt,
     the remaining integrand being analytic (value 0 at t = 0).  The gap
-    to a rule with fewer nodes is the error estimate; above tol it raises
-    ToleranceError.
+    to a rule with fewer nodes is the error estimate; above QUADRATURE_TOL
+    it raises ToleranceError.
     """
     upper = math.pi / 3
     exact_part = upper * (math.log(2 * upper) - 1)
     smooth_part = _smooth_integral(QUADRATURE_NODES)
     err = abs(smooth_part - _smooth_integral(CHECK_NODES))
-    if err > tol:
-        raise ToleranceError(f"quadrature error estimate {err:.2e} exceeds {tol:.1e}")
+    if err > QUADRATURE_TOL:
+        raise ToleranceError(f"quadrature error estimate {err:.2e} exceeds {QUADRATURE_TOL:.1e}")
     return -(3 / (2 * math.pi)) * (exact_part + smooth_part)
 
 
@@ -107,8 +109,8 @@ class EntropyReport:
         return "\n".join(lines) + "\n"
 
 
-def convergence_report(m_max: int = 60, *, start: int = 3) -> EntropyReport:
-    """Tabulate h(m) - h_inf for m = start .. m_max.
+def convergence_report(m_max: int = 60) -> EntropyReport:
+    """Tabulate h(m) - h_inf for m = 3 .. m_max.
 
     When the table reaches m = 1000 the three last families must sit
     within 1e-3 of the limit; the monotonicity of the approach is only
@@ -119,7 +121,7 @@ def convergence_report(m_max: int = 60, *, start: int = 3) -> EntropyReport:
         raise InvalidParamsError(f"m_max must be >= 10, got {m_max}")
     limit = limit_entropy_quadrature()
     rows = []
-    for m in range(start, m_max + 1):
+    for m in range(3, m_max + 1):
         h = entropy_of_family(m)
         rows.append(EntropyRow(m, h, h - limit))
 

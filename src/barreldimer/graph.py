@@ -334,15 +334,15 @@ def validate_structure(g: BarrelGraph) -> FaceCensusReport:
 # exact enumeration by backtracking
 # ---------------------------------------------------------------------------
 
-def count_matchings_brute(g: BarrelGraph, *, vertex_cap: int = BRUTE_VERTEX_CAP) -> int:
+def count_matchings_brute(g: BarrelGraph) -> int:
     """Count perfect matchings by backtracking on the lowest uncovered vertex.
 
-    Deterministic and exact; refuses graphs above vertex_cap since the
-    search tree grows exponentially.
+    Deterministic and exact; refuses graphs above BRUTE_VERTEX_CAP since
+    the search tree grows exponentially.
     """
     n = g.n_vertices
-    if n > vertex_cap:
-        raise TooLargeError(f"{n} vertices exceeds brute-force cap {vertex_cap}")
+    if n > BRUTE_VERTEX_CAP:
+        raise TooLargeError(f"{n} vertices exceeds brute-force cap {BRUTE_VERTEX_CAP}")
     adjacency = g.adjacency
     covered = bytearray(n)
 
@@ -364,12 +364,13 @@ def count_matchings_brute(g: BarrelGraph, *, vertex_cap: int = BRUTE_VERTEX_CAP)
     return count_from(0)
 
 
-def enumerate_matchings(g: BarrelGraph, *, cap: int = ENUMERATION_CAP) -> Iterator[Matching]:
+def enumerate_matchings(g: BarrelGraph) -> Iterator[Matching]:
     """Yield every perfect matching, in the deterministic backtracking order.
 
     The search keeps its own stack of [vertex, untried neighbours, partner]
     frames, one per matched edge, so its depth is not bounded by the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  More than ENUMERATION_CAP matchings
+    raise TooManyMatchingsError.
     """
     n = g.n_vertices
     adjacency = g.adjacency
@@ -386,8 +387,8 @@ def enumerate_matchings(g: BarrelGraph, *, cap: int = ENUMERATION_CAP) -> Iterat
             frames.append([lo, iter(adjacency[lo]), None])
         else:
             produced += 1
-            if produced > cap:
-                raise TooManyMatchingsError(f"more than {cap} perfect matchings")
+            if produced > ENUMERATION_CAP:
+                raise TooManyMatchingsError(f"more than {ENUMERATION_CAP} perfect matchings")
             yield Matching(frozenset(chosen))
         # give the deepest frame its next free partner; drop the frames that have none
         while frames:

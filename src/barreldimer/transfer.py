@@ -354,30 +354,6 @@ def closed_form_345(m: int, k: int) -> int:
 # exact uniform sampling
 # ---------------------------------------------------------------------------
 
-def _cycle_pairing(n: int, removed: tuple[int, ...], choice: int = 0) -> list[tuple[int, int]]:
-    """The adjacent-pair perfect matching of C_n minus `removed` (sorted).
-
-    Unique when `removed` is nonempty (arc rule); for the intact even
-    cycle `choice` picks the even-start (0) or odd-start (1) matching.
-    Pairs are returned as (x, x+1 mod n).
-    """
-    if not removed:
-        if n % 2:
-            raise StructuralViolationError(f"odd cycle C_{n} has no perfect matching")
-        start = 0 if choice == 0 else 1
-        return [((start + 2 * t) % n, (start + 2 * t + 1) % n) for t in range(n // 2)]
-    pairs: list[tuple[int, int]] = []
-    for a, r in enumerate(removed):
-        r_next = removed[(a + 1) % len(removed)]
-        length = (r_next - r - 1) % n
-        if length % 2:
-            raise StructuralViolationError("arc of odd length has no perfect matching")
-        for t in range(length // 2):
-            x = (r + 1 + 2 * t) % n
-            pairs.append((x, (x + 1) % n))
-    return pairs
-
-
 def _prefix_choice(rng: random.Random, total: int, classes: Sequence[int],
                    w: Sequence[int]) -> int:
     """Position i in a listed row, drawn with probability w[classes[i]] / total.
@@ -422,6 +398,25 @@ def _down_slots(m: int, a: int, b: int) -> int:
     if low < a & -a:
         b += (low << m) - low
     d = b - a
+    return (d | d >> m) & ((1 << m) - 1)
+
+
+def _cap_slots(m: int, removed: tuple[int, ...], coin: int = 0) -> int:
+    """Edges x = (x, x+1 mod m) that match the cap m-gon minus the slots `removed` (sorted).
+
+    Each cyclic gap after an element l of `removed` leaves an arc of
+    n = l' - l - 1 vertices before the next element l', matched by its
+    edges l + 1, l + 3, ..: the bits 0b0101.. cut to n bits, shifted to
+    l + 1 and folded mod m.  Every n is even for the profiles a cap can
+    meet (boundary_vector's support).  The intact cap (m even) takes its
+    even edges for coin 0 and its odd edges for coin 1.
+    """
+    alt = ((1 << 2 * m) - 1) // 3  # bits 0, 2, 4, ..
+    if not removed:
+        return (alt & ((1 << m) - 1)) << coin
+    d = 0
+    for l, l_next in zip(removed, removed[1:] + (removed[0] + m,)):
+        d |= (alt & ((1 << (l_next - l - 1)) - 1)) << (l + 1)
     return (d | d >> m) & ((1 << m) - 1)
 
 
@@ -477,7 +472,9 @@ class UniformSampler:
     takes D = I_m or D = 0 by one coin.  build_graph gives each cycle, each
     horizontal layer and each cap a contiguous block of edge ids, so the
     ids of a mask are read off per-layer rows of the graph's own id
-    objects.  The caps still use _cycle_pairing.  Construction raises
+    objects.  Each cap matches the edges of _cap_slots around its end
+    profile, the intact cap by one more coin.  The coins are drawn in the
+    order left cap, right cap, then the big cycles.  Construction raises
     TooLargeError when _kept_bytes(m, k) exceeds SAMPLER_BYTES_CAP.
     """
 
@@ -540,9 +537,8 @@ class UniformSampler:
         edges: list[int] = []
         fill = edges.extend
         for s_mask, ids in zip((profile[0], profile[-1]), self._caps):
-            removed = elements[s_mask]
-            choice = rng.randrange(2) if not removed else 0
-            fill([ids[x] for x, _y in _cycle_pairing(m, removed, choice)])
+            coin = rng.randrange(2) if not s_mask else 0
+            fill(map(ids.__getitem__, elements[_cap_slots(m, elements[s_mask], coin)]))
         fill(map(self._first_layer.__getitem__, elements[profile[0]]))
         full = (1 << m) - 1
         a = profile[0]

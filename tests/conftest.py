@@ -9,9 +9,10 @@ The per-entry arc reference builds one transfer entry at a time from the
 arcs of the punctured big cycle, one (b_exp, c_exp) pair per matching,
 where the library generates whole rows from the gap product.
 
-The recursive enumerator and the entry-by-entry amplitude loop are the
-earlier forms of the library's explicit-stack enumeration and stacked
-determinants; the library must reproduce their order and their bits.
+The recursive enumerator, the entry-by-entry amplitude loop and the
+pair-by-pair cycle matching are the earlier forms of the library's
+explicit-stack enumeration, stacked determinants and slot-mask fill; the
+library must reproduce their order and their bits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from barreldimer.errors import InvalidParamsError
+from barreldimer.errors import InvalidParamsError, StructuralViolationError
 from barreldimer.transfer import mask_elements
 
 
@@ -113,6 +114,30 @@ def weighted_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int])
 def cycle_block_entry(m: int, S: int | Iterable[int], T: int | Iterable[int]) -> int:
     """Unweighted entry: number of perfect matchings of the punctured C_{2m}."""
     return len(weighted_block_entry(m, S, T))
+
+
+def cycle_pairing(n: int, removed: tuple[int, ...], choice: int = 0) -> list[tuple[int, int]]:
+    """The adjacent-pair perfect matching of C_n minus `removed` (sorted).
+
+    Unique when `removed` is nonempty (arc rule); for the intact even
+    cycle `choice` picks the even-start (0) or odd-start (1) matching.
+    Pairs are returned as (x, x+1 mod n).
+    """
+    if not removed:
+        if n % 2:
+            raise StructuralViolationError(f"odd cycle C_{n} has no perfect matching")
+        start = 0 if choice == 0 else 1
+        return [((start + 2 * t) % n, (start + 2 * t + 1) % n) for t in range(n // 2)]
+    pairs: list[tuple[int, int]] = []
+    for a, r in enumerate(removed):
+        r_next = removed[(a + 1) % len(removed)]
+        length = (r_next - r - 1) % n
+        if length % 2:
+            raise StructuralViolationError("arc of odd length has no perfect matching")
+        for t in range(length // 2):
+            x = (r + 1 + 2 * t) % n
+            pairs.append((x, (x + 1) % n))
+    return pairs
 
 
 def matchings_by_recursion(adjacency: Sequence[Sequence[tuple[int, int]]]) -> Iterator[frozenset[int]]:

@@ -206,6 +206,7 @@ def test_eigenpair_refuses_m_above_the_cap_before_the_basis_scan(monkeypatch):
         raise AssertionError("basis scanned despite the eigenpair cap")
 
     monkeypatch.setattr(bethe, "_block_basis", unreachable)
+    monkeypatch.setattr(bethe, "selections_for_sector", unreachable)
     with pytest.raises(errors.TooLargeError):
         bethe.bethe_eigenpair(transfer.TRANSFER_M_CAP + 1, 1, (0,))
 

@@ -20,6 +20,98 @@ from barreldimer import bethe, cli, graph, transfer
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
+# The output schema of each JSON-emitting subcommand.  The CLI writes its
+# JSON without checking it; test_json_output_matches_its_schema checks the
+# real output of every such subcommand against these.
+
+_COUNT_SCHEMA = {
+    "type": "object",
+    "required": ["m", "k", "counts", "agree"],
+    "properties": {
+        "m": {"type": "integer"},
+        "k": {"type": "integer"},
+        "counts": {"type": "object",
+                   "additionalProperties": {"type": "string", "pattern": "^[0-9]+$"}},
+        "agree": {"type": "boolean"},
+    },
+}
+
+_GROWTH_SCHEMA = {
+    "type": "object",
+    "required": ["m", "rho", "p0", "n0", "entropy", "entropy_gap_to_limit"],
+    "properties": {
+        "m": {"type": "integer"},
+        "rho": {"type": "number"},
+        "p0": {"type": "integer"},
+        "n0": {"type": "integer"},
+        "entropy": {"type": "number"},
+        "entropy_gap_to_limit": {"type": "number"},
+    },
+}
+
+_SPECTRUM_SCHEMA = {
+    "type": "object",
+    "required": ["m", "p", "b", "c", "dimension", "rank", "entries"],
+    "properties": {
+        "entries": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["selection", "roots", "eigenvalue", "residual"],
+                "properties": {
+                    "selection": {"type": "array", "items": {"type": "integer"}},
+                    "roots": {"type": "array",
+                              "items": {"type": "array", "items": {"type": "number"},
+                                        "minItems": 2, "maxItems": 2}},
+                    "eigenvalue": {"type": "array", "items": {"type": "number"},
+                                   "minItems": 2, "maxItems": 2},
+                    "residual": {"type": "number"},
+                    "omega_overlap": {"type": "array", "items": {"type": "number"}},
+                },
+            },
+        },
+    },
+}
+
+_ASYMPTOTIC_SCHEMA = {
+    "type": "object",
+    "required": ["m", "k", "n", "estimate"],
+    "properties": {
+        "m": {"type": "integer"},
+        "k": {"type": "integer"},
+        "n": {"type": "integer"},
+        "estimate": {"type": "number"},
+        "base": {"type": "number"},
+        "coefficient_on_base_pow_k": {"type": "number"},
+        "coefficient_on_base_pow_k1": {"type": "number"},
+        "exact_sector": {"type": "string", "pattern": "^[0-9]+$"},
+        "estimate_over_exact": {"type": "number"},
+    },
+}
+
+_VALIDATE_SCHEMA = {
+    "type": "object",
+    "required": ["level", "passed", "criteria"],
+    "properties": {
+        "criteria": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["index", "name", "passed", "detail", "seconds"],
+            },
+        },
+    },
+}
+
+# The ids inside each sample are type-checked in cmd_sample, in one pass.
+_SAMPLE_SCHEMA = {
+    "type": "object",
+    "required": ["m", "k", "seed", "samples"],
+    "properties": {
+        "samples": {"type": "array", "items": {"type": "array"}},
+    },
+}
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -29,6 +121,28 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         env=dict(os.environ),
         timeout=300,
     )
+
+
+# ---------------------------------------------------------------------------
+# output schemas
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,schema", [
+    (["count", "--m", "4", "--k", "1", "--method", "all"], _COUNT_SCHEMA),
+    (["growth", "--m", "7"], _GROWTH_SCHEMA),
+    (["spectrum", "--m", "5", "--p", "3", "--b", "2", "--c", "0.5"], _SPECTRUM_SCHEMA),
+    (["asymptotic", "--m", "3", "--k", "4", "--aggregate"], _ASYMPTOTIC_SCHEMA),
+    (["asymptotic", "--m", "4", "--k", "3", "--eta", "1,0", "--lambda", "1,0"],
+     _ASYMPTOTIC_SCHEMA),
+    (["validate", "--level", "fast"], _VALIDATE_SCHEMA),
+    (["sample", "--m", "4", "--k", "2", "--samples", "5", "--seed", "33"], _SAMPLE_SCHEMA),
+], ids=["count", "growth", "spectrum", "asymptotic-aggregate", "asymptotic-single",
+        "validate", "sample"])
+def test_json_output_matches_its_schema(tmp_path, argv, schema):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+    jsonschema.validate(json.loads(out.read_text()), schema)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +474,11 @@ def test_count_k_cap_exits_one(method):
 
 def test_sample_schema_keeps_its_envelope():
     good = {"m": 3, "k": 1, "seed": 0, "samples": [[0, 1], []]}
-    jsonschema.validate(good, cli._SAMPLE_SCHEMA)
+    jsonschema.validate(good, _SAMPLE_SCHEMA)
     missing = {key: v for key, v in good.items() if key != "samples"}
     for bad in (missing, {**good, "samples": [[0, 1], 5]}, {**good, "samples": 5}):
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(bad, cli._SAMPLE_SCHEMA)
+            jsonschema.validate(bad, _SAMPLE_SCHEMA)
 
 
 def test_sample_byte_determinism():

@@ -38,9 +38,10 @@ def test_gauss_legendre_matches_adaptive_quadrature():
     assert abs(got - want) <= 1e-14
 
 
-def test_quadrature_error_estimate_above_tol_raises():
+def test_quadrature_error_estimate_above_tol_raises(monkeypatch):
+    monkeypatch.setattr(entropy, "QUADRATURE_TOL", 1e-30)
     with pytest.raises(errors.ToleranceError):
-        entropy.limit_entropy_quadrature(tol=1e-30)
+        entropy.limit_entropy_quadrature()
 
 
 def test_series_matches_quadrature():

@@ -158,9 +158,10 @@ def test_brute_rejects_oversized_instance():
         graph.count_matchings_brute(barrel(3, 11))
 
 
-def test_brute_cap_override_is_respected():
+def test_brute_cap_override_is_respected(monkeypatch):
+    monkeypatch.setattr(graph, "BRUTE_VERTEX_CAP", 10)
     with pytest.raises(errors.TooLargeError):
-        graph.count_matchings_brute(barrel(3, 0), vertex_cap=10)
+        graph.count_matchings_brute(barrel(3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +193,11 @@ def test_enumeration_is_not_bounded_by_the_recursion_limit():
     assert graph.is_perfect(g, next(graph.enumerate_matchings(g)))
 
 
-def test_enumeration_cap_raises():
+def test_enumeration_cap_raises(monkeypatch):
     g = barrel(5, 1)
+    monkeypatch.setattr(graph, "ENUMERATION_CAP", 10)
     with pytest.raises(errors.TooManyMatchingsError):
-        list(graph.enumerate_matchings(g, cap=10))
+        list(graph.enumerate_matchings(g))
 
 
 def test_matching_edge_count_is_half_vertices():

@@ -12,6 +12,7 @@ from scipy.stats import chi2
 
 from barreldimer import errors, graph, transfer
 from barreldimer.validate import SAMPLER_SEED
+from conftest import cycle_pairing
 
 
 def _list_weighted_choice(rng, items):
@@ -48,17 +49,17 @@ def _list_and_sum_draw(sampler, rng):
             edges.add(g.horizontal_ids[(j, l)])
     left = elements(profile[0])
     choice = rng.randrange(2) if not left else 0
-    for x, _y in transfer._cycle_pairing(m, left, choice):
+    for x, _y in cycle_pairing(m, left, choice):
         edges.add(g.cap_ids[("L", x)])
     right = elements(profile[-1])
     choice = rng.randrange(2) if not right else 0
-    for x, _y in transfer._cycle_pairing(m, right, choice):
+    for x, _y in cycle_pairing(m, right, choice):
         edges.add(g.cap_ids[("R", x)])
     for j in range(1, k + 2):
         removed = tuple(sorted([2 * l for l in elements(profile[j - 1])]
                                + [2 * l + 1 for l in elements(profile[j])]))
         choice = rng.randrange(2) if not removed else 0
-        for x, _y in transfer._cycle_pairing(2 * m, removed, choice):
+        for x, _y in cycle_pairing(2 * m, removed, choice):
             edges.add(g.cycle_ids[(j, x)])
     return profile, graph.Matching(frozenset(edges))
 
@@ -136,7 +137,8 @@ def test_suffix_rows_sum_to_stored_totals(m, k):
 
 
 @pytest.mark.parametrize("m,ks", [(3, (0, 1, 6)), (4, (0, 2, 5)), (5, (0, 1, 4)),
-                                  (6, (0, 3)), (7, (1, 2)), (8, (0, 2)), (9, (0, 1))])
+                                  (6, (0, 3)), (7, (1, 2)), (8, (0, 2)), (9, (0, 1)),
+                                  (10, (0, 1)), (11, (0, 1)), (12, (0, 1))])
 def test_prefix_draw_matches_list_and_sum_draw(m, ks):
     """Same profiles, matchings and RNG stream as the list-and-sum draw."""
     for k in ks:
@@ -154,11 +156,11 @@ def test_prefix_draw_matches_list_and_sum_draw(m, ks):
 
 
 def _pairing_slots(m, a, b, choice):
-    """(up slots, down slots) of _cycle_pairing on the cycle between profiles a and b."""
+    """(up slots, down slots) of cycle_pairing on the cycle between profiles a and b."""
     removed = tuple(sorted([2 * l for l in transfer.mask_elements(a)]
                            + [2 * l + 1 for l in transfer.mask_elements(b)]))
     up = down = 0
-    for x, _y in transfer._cycle_pairing(2 * m, removed, choice):
+    for x, _y in cycle_pairing(2 * m, removed, choice):
         if x % 2:
             down |= 1 << (x // 2)
         else:
@@ -175,6 +177,16 @@ def test_bitmask_fill_matches_cycle_pairing(m):
             for choice in ((0, 1) if a == 0 else (0,)):
                 down = transfer._down_slots(m, a, b) if a else (full if choice else 0)
                 assert _pairing_slots(m, a, b, choice) == (full & ~(down | b), down), (a, b)
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_cap_fill_matches_cycle_pairing(m):
+    """Every profile a cap can meet (omega's support), and both coins of the intact cap."""
+    for s_mask in transfer.boundary_vector(m):
+        removed = transfer.mask_elements(s_mask)
+        for coin in ((0, 1) if s_mask == 0 else (0,)):
+            want = sum(1 << x for x, _y in cycle_pairing(m, removed, coin))
+            assert transfer._cap_slots(m, removed, coin) == want, (s_mask, coin)
 
 
 def test_subset_table_lists_mask_elements():

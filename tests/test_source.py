@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import barreldimer
 
 SRC = pathlib.Path(barreldimer.__file__).parent
@@ -23,8 +25,9 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_no_scipy_imports_in_package():
-    """scipy is a test-only dependency; the package must run without it."""
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_no_scipy_imports_in_package(module):
+    """scipy and jsonschema are test-only dependencies; the package must run without them."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -36,7 +39,7 @@ def test_no_scipy_imports_in_package():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names
-                      if name.split(".")[0] == "scipy"]
+                      if name.split(".")[0] == module]
     assert found == []
 
 
@@ -61,8 +64,9 @@ def test_every_import_is_used():
     assert found == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, barreldimer.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_cli_import_leaves_scipy_unloaded(module):
+    code = f"import sys, barreldimer.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ), timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -292,10 +292,12 @@ def test_sector_rejects_bad_parity_and_range():
 
 
 def test_block_masks_are_ascending_and_complete():
-    masks = bethe._block_basis(5, 2)
-    assert list(masks) == sorted(masks)
-    assert len(masks) == 10
-    assert all(bin(x).count("1") == 2 for x in masks)
+    """Every (m, p) with m <= 10 against the popcount scan of all 2^m masks."""
+    for m in range(3, 11):
+        for p in range(m + 1):
+            masks = bethe._block_basis(m, p)
+            assert masks == tuple(x for x in range(1 << m) if bin(x).count("1") == p), (m, p)
+    assert len(bethe._block_basis(5, 2)) == 10
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])

@@ -401,7 +401,7 @@ def _down_slots(m: int, a: int, b: int) -> int:
     return (d | d >> m) & ((1 << m) - 1)
 
 
-def _cap_slots(m: int, removed: tuple[int, ...], coin: int = 0) -> int:
+def _cap_slots(m: int, removed: tuple[int, ...], coin: int) -> int:
     """Edges x = (x, x+1 mod m) that match the cap m-gon minus the slots `removed` (sorted).
 
     Each cyclic gap after an element l of `removed` leaves an arc of

@@ -285,20 +285,25 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
 # extremal eigenvalues and the growth constant
 # ---------------------------------------------------------------------------
 
+def _in_range(m: int, value: float) -> float:
+    """value, or TooLargeError when a result for width m has left the float range."""
+    if not math.isfinite(value):
+        raise TooLargeError(f"result for m={m} exceeds the float range")
+    return value
+
+
 def lambda_max_sector(m: int, p: int) -> float:
-    """Largest eigenvalue of sector p at b = c = 1, in closed form."""
+    """Largest eigenvalue of sector p at b = c = 1, in closed form; TooLargeError
+    when it leaves the float range or its denominator underflows to 0."""
     _check_sector(m, p)
     if p % 2 == 0:
-        q = p // 2
-        denom = 1.0
-        for r in range(q):
-            denom *= 4 * math.sin(math.pi * (2 * r + 1) / (2 * m)) ** 2
-        return 2.0 / denom
-    q = (p - 1) // 2
+        num, angles = 2.0, [math.pi * (2 * r + 1) / (2 * m) for r in range(p // 2)]
+    else:
+        num, angles = m, [math.pi * r / m for r in range(1, (p - 1) // 2 + 1)]
     denom = 1.0
-    for r in range(1, q + 1):
-        denom *= 4 * math.sin(math.pi * r / m) ** 2
-    return m / denom
+    for angle in angles:
+        denom *= 4 * math.sin(angle) ** 2
+    return _in_range(m, num / denom if denom else math.inf)
 
 
 def p_zero(m: int) -> int:
@@ -319,15 +324,17 @@ def growth_constant(m: int) -> float:
     """rho(m), by the cosine product, cross-checked against lambda_max of p0.
 
     Raises FormulaMismatchError if the two routes disagree beyond 1e-12
-    relative; never silently prefers one.
+    relative, NaN included; never silently prefers one.  From m = 2198
+    rho(m) exceeds the float range and TooLargeError is raised.
     """
     if m < 3:
         raise InvalidParamsError(f"m must be >= 3, got {m}")
     prod = 1.0
     for j in range(1, (m + 1) // 3 + 1):
         prod *= (2 * math.cos(math.pi * (2 * j - 1) / (2 * m))) ** 2
+    _in_range(m, prod)
     lam = lambda_max_sector(m, p_zero(m))
-    if abs(prod - lam) > CROSSCHECK_TOL * abs(lam):
+    if not abs(prod - lam) <= CROSSCHECK_TOL * abs(lam):
         raise FormulaMismatchError(
             f"rho({m}): product form {prod!r} vs sector maximum {lam!r}")
     return prod

@@ -47,8 +47,11 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BarrelError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit_json(obj: dict, out: str | None) -> None:

@@ -23,6 +23,9 @@ positions and the layer on its right at odd positions.  Big-cycle edges
 (w_{j,2i}, w_{j,2i+1}) are classified "up" and (w_{j,2i+1}, w_{j,2i+2})
 "down"; cap edges close the m-gons.
 
+Edge ids run along the stack in blocks: left cap, E_0, then big cycle j
+by ascending i and E_j for j = 1 .. k+1, right cap; edge_block gives them.
+
 F(m, k) has 2m(k+2) vertices, 3m(k+2) edges, and face census
 {two m-gons, 2m pentagons, mk hexagons}, verified here by an explicit
 planar face walk rather than assumed.
@@ -151,9 +154,6 @@ class BarrelGraph:
     labels: tuple[str, ...]
     edges: tuple[Edge, ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]  # vertex -> ((nbr, eid), ...)
-    horizontal_ids: dict[tuple[int, int], int]  # (j, l) -> edge id
-    cycle_ids: dict[tuple[int, int], int]  # (j, i) -> edge id
-    cap_ids: dict[tuple[str, int], int]  # ("L"|"R", l) -> edge id
 
     @property
     def m(self) -> int:
@@ -194,30 +194,22 @@ def build_graph(params: BarrelParams) -> BarrelGraph:
         return m + (k + 1) * 2 * m + (l % m)
 
     edges: list[Edge] = []
-    horizontal_ids: dict[tuple[int, int], int] = {}
-    cycle_ids: dict[tuple[int, int], int] = {}
-    cap_ids: dict[tuple[str, int], int] = {}
-
-    def add(u: int, v: int, kind: str, layer: int, pos: int) -> int:
-        eid = len(edges)
-        edges.append(Edge(u, v, kind, layer, pos))
-        return eid
-
+    add = edges.append
     for l in range(m):
-        cap_ids[("L", l)] = add(u_left(l), u_left(l + 1), EDGE_MGON, 0, l)
+        add(Edge(u_left(l), u_left(l + 1), EDGE_MGON, 0, l))
     for l in range(m):
-        horizontal_ids[(0, l)] = add(u_left(l), w(1, 2 * l), EDGE_HORIZONTAL, 0, l)
+        add(Edge(u_left(l), w(1, 2 * l), EDGE_HORIZONTAL, 0, l))
     for j in range(1, k + 2):
         for i in range(2 * m):
             kind = EDGE_UP if i % 2 == 0 else EDGE_DOWN
-            cycle_ids[(j, i)] = add(w(j, i), w(j, i + 1), kind, j, i)
+            add(Edge(w(j, i), w(j, i + 1), kind, j, i))
         if j <= k:
             for l in range(m):
-                horizontal_ids[(j, l)] = add(w(j, 2 * l + 1), w(j + 1, 2 * l), EDGE_HORIZONTAL, j, l)
+                add(Edge(w(j, 2 * l + 1), w(j + 1, 2 * l), EDGE_HORIZONTAL, j, l))
     for l in range(m):
-        horizontal_ids[(k + 1, l)] = add(w(k + 1, 2 * l + 1), u_right(l), EDGE_HORIZONTAL, k + 1, l)
+        add(Edge(w(k + 1, 2 * l + 1), u_right(l), EDGE_HORIZONTAL, k + 1, l))
     for l in range(m):
-        cap_ids[("R", l)] = add(u_right(l), u_right(l + 1), EDGE_MGON, k + 2, l)
+        add(Edge(u_right(l), u_right(l + 1), EDGE_MGON, k + 2, l))
     if len(edges) != params.n_edges:
         raise StructuralViolationError(f"{len(edges)} edges, expected {params.n_edges}")
 
@@ -227,8 +219,24 @@ def build_graph(params: BarrelParams) -> BarrelGraph:
         adj[e.v].append((e.u, eid))
     adjacency = tuple(tuple(sorted(row)) for row in adj)
 
-    return BarrelGraph(params, tuple(labels), tuple(edges), adjacency,
-                       horizontal_ids, cycle_ids, cap_ids)
+    return BarrelGraph(params, tuple(labels), tuple(edges), adjacency)
+
+
+def edge_block(params: BarrelParams, kind: str, layer: int) -> range:
+    """build_graph's ids of the edges of one kind and layer (as in Edge), by slot l.
+
+    Slot l is pos l of a cap (layer 0 or k+2) or of E_j, which starts at id
+    m + 3mj, and pos 2l (up) or 2l+1 (down) of big cycle j, from id 3mj - m.
+    """
+    m, k = params.m, params.k
+    if kind == EDGE_MGON and layer in (0, k + 2):
+        return range(m) if layer == 0 else range(params.n_edges - m, params.n_edges)
+    if kind == EDGE_HORIZONTAL and 0 <= layer <= k + 1:
+        return range(m + 3 * m * layer, 2 * m + 3 * m * layer)
+    if kind in (EDGE_UP, EDGE_DOWN) and 1 <= layer <= k + 1:
+        start = 3 * m * layer - m + (kind == EDGE_DOWN)
+        return range(start, start + 2 * m, 2)
+    raise InvalidParamsError(f"F({m},{k}) has no {kind} edges in layer {layer}")
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,8 @@ from .errors import (
     TooLargeError,
     UnsupportedParameterError,
 )
-from .graph import BarrelGraph, BarrelParams, Matching, build_graph
+from .graph import (EDGE_DOWN, EDGE_HORIZONTAL, EDGE_MGON, EDGE_UP, BarrelParams, Matching,
+                    edge_block)
 
 TRANSFER_M_CAP = 16
 BOUNDARY_M_CAP = 20
@@ -420,14 +421,6 @@ def _cap_slots(m: int, removed: tuple[int, ...], coin: int) -> int:
     return (d | d >> m) & ((1 << m) - 1)
 
 
-def _layout_base(ids: Mapping, layer, size: int) -> int:
-    """First id of the block {(layer, x) : x < size}, which must be base + x."""
-    base = ids[(layer, 0)]
-    if any(ids[(layer, x)] != base + x for x in range(size)):
-        raise StructuralViolationError(f"edge ids of layer {layer!r} are not one contiguous block")
-    return base
-
-
 def _kept_bytes(m: int, k: int) -> int:
     """Upper estimate of the memory of the sampler's k + 2 kept vectors.
 
@@ -469,17 +462,17 @@ class UniformSampler:
     cycle j matches the down edges of D = _down_slots(m, a, b) (the cyclic
     runs from each slot of a up to the next slot of b), the horizontal
     edges of b, and the up edges of every other slot; the intact cycle
-    takes D = I_m or D = 0 by one coin.  build_graph gives each cycle, each
-    horizontal layer and each cap a contiguous block of edge ids, so the
-    ids of a mask are read off per-layer rows of the graph's own id
-    objects.  Each cap matches the edges of _cap_slots around its end
-    profile, the intact cap by one more coin.  The coins are drawn in the
-    order left cap, right cap, then the big cycles.  Construction raises
-    TooLargeError when _kept_bytes(m, k) exceeds SAMPLER_BYTES_CAP.
+    takes D = I_m or D = 0 by one coin.  The ids of a mask are read off
+    per-layer tuples of edge_block's ids, built once per sampler, so all
+    draws share the same int objects.  Each cap matches the edges of
+    _cap_slots around its end profile, the intact cap by one more coin.
+    The coins are drawn in the order left cap, right cap, then the big
+    cycles.  Construction raises TooLargeError when _kept_bytes(m, k)
+    exceeds SAMPLER_BYTES_CAP.
     """
 
     def __init__(self, m: int, k: int):
-        BarrelParams(m, k)
+        params = BarrelParams(m, k)
         if m > TRANSFER_M_CAP:
             raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
         kept = _kept_bytes(m, k)
@@ -488,7 +481,6 @@ class UniformSampler:
                 f"sampler for F({m},{k}) would keep about {kept >> 20} MiB "
                 f"of suffix weights, over the cap of {SAMPLER_BYTES_CAP >> 20} MiB")
         self.m, self.k = m, k
-        self.graph: BarrelGraph = build_graph(BarrelParams(m, k))
         omega = boundary_vector(m)
         self._omega_row = _class_row(m, sorted(omega.items()))
         self._rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * (1 << m)
@@ -496,25 +488,13 @@ class UniformSampler:
         suffix.reverse()  # suffix[j] = W_j on bracelet classes, j = 0 .. k+1
         self._suffix = suffix
 
-        g = self.graph
-        table: list[int] = [0] * g.n_edges  # the graph's own id objects, by id
-        for ids in (g.horizontal_ids, g.cycle_ids, g.cap_ids):
-            for eid in ids.values():
-                table[eid] = eid
-
-        def block(ids: Mapping, layer, size: int = m) -> tuple[int, ...]:
-            base = _layout_base(ids, layer, size)
-            return tuple(table[base:base + size])
+        def block(kind: str, layer: int) -> tuple[int, ...]:
+            return tuple(edge_block(params, kind, layer))
 
         self._elements = _subset_table(m)
-        self._caps = (block(g.cap_ids, "L"), block(g.cap_ids, "R"))
-        self._first_layer = block(g.horizontal_ids, 0)
-        # (up ids, down ids, horizontal ids) of cycle j and layer j, by slot
-        layers = []
-        for j in range(1, k + 2):
-            cycle = block(g.cycle_ids, j, 2 * m)
-            layers.append((cycle[0::2], cycle[1::2], block(g.horizontal_ids, j)))
-        self._layers = tuple(layers)
+        self._caps = (block(EDGE_MGON, 0), block(EDGE_MGON, k + 2))
+        self._horizontal = tuple(block(EDGE_HORIZONTAL, j) for j in range(k + 2))
+        self._cycles = tuple((block(EDGE_UP, j), block(EDGE_DOWN, j)) for j in range(1, k + 2))
 
     def draw(self, rng: random.Random) -> Matching:
         m, k = self.m, self.k
@@ -539,28 +519,27 @@ class UniformSampler:
         for s_mask, ids in zip((profile[0], profile[-1]), self._caps):
             coin = rng.randrange(2) if not s_mask else 0
             fill(map(ids.__getitem__, elements[_cap_slots(m, elements[s_mask], coin)]))
-        fill(map(self._first_layer.__getitem__, elements[profile[0]]))
+        for s_mask, ids in zip(profile, self._horizontal):
+            fill(map(ids.__getitem__, elements[s_mask]))
         full = (1 << m) - 1
-        a = profile[0]
-        for b, (up, down, horizontal) in zip(profile[1:], self._layers):
+        for a, b, (up, down) in zip(profile, profile[1:], self._cycles):
             if a:
                 d_mask = _down_slots(m, a, b)
             else:
                 d_mask = full if rng.randrange(2) else 0
             fill(map(up.__getitem__, elements[full & ~(d_mask | b)]))
             fill(map(down.__getitem__, elements[d_mask]))
-            fill(map(horizontal.__getitem__, elements[b]))
-            a = b
         matched = frozenset(edges)
-        if len(edges) != len(matched) or len(matched) != self.graph.n_vertices // 2:
+        if len(edges) != len(matched) or len(matched) != m * (k + 2):
             raise StructuralViolationError(
-                f"sampled {len(edges)} edges for {self.graph.n_vertices} vertices")
+                f"sampled {len(edges)} edges for {2 * m * (k + 2)} vertices")
         return Matching(matched)
 
 
 @lru_cache(maxsize=2)
 def _sampler(m: int, k: int) -> UniformSampler:
-    """The two most recent samplers stay cached; each is bounded by SAMPLER_BYTES_CAP."""
+    """The two most recent samplers stay cached.  SAMPLER_BYTES_CAP bounds the
+    suffix vectors of each, not the rows and the id tuples it also keeps."""
     return UniformSampler(m, k)
 
 

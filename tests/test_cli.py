@@ -175,6 +175,20 @@ def test_count_counts_are_decimal_strings(tmp_path):
     assert isinstance(val, str) and val.isdigit()
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--m", "3", "--k", "1"],
+    ["sample", "--m", "3", "--k", "1", "--samples", "2"],
+    ["validate"],
+], ids=["count", "sample", "validate"])
+def test_out_in_a_missing_directory_exits_one(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "out.txt"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert str(out) in captured.err
+
+
 def test_count_invalid_m_exits_one():
     proc = run_cli("count", "--m", "2", "--k", "0")
     assert proc.returncode == 1
@@ -219,6 +233,19 @@ def test_growth_json_fields(tmp_path):
     assert doc["rho"] == pytest.approx(3.414213562373095, rel=1e-12)
     assert doc["p0"] == 2 and doc["n0"] == 2
     assert doc["entropy"] == pytest.approx(doc["entropy_gap_to_limit"] + 0.1615329736, abs=1e-8)
+
+
+@pytest.mark.parametrize("m,rc", [(2197, 0), (2198, 1), (2432, 1)])
+def test_growth_past_the_float_range_exits_one(capsys, m, rc):
+    """rho(2197) is the last one below the float maximum; from 2198 both routes
+    overflow, and from 2432 the sector denominator underflows to zero."""
+    assert cli.main(["growth", "--m", str(m)]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.err.startswith("error: ") and "float range" in captured.err
+        assert captured.out == ""
+    else:
+        assert json.loads(captured.out)["rho"] == pytest.approx(1.7853392879605359e308)
 
 
 def test_spectrum_json_shape(tmp_path):
@@ -488,6 +515,22 @@ def test_sample_byte_determinism():
     assert a.stdout == b.stdout
     doc = json.loads(a.stdout)
     assert len(doc["samples"]) == 5
+
+
+def test_sample_builds_no_graph(monkeypatch, capsys):
+    """The sampler reads graph.edge_block; the output bytes stay the same without build_graph."""
+    argv = ["sample", "--m", "12", "--k", "10", "--samples", "3", "--format", "json"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+
+    def unavailable(params):
+        raise AssertionError("sample built the graph")
+
+    monkeypatch.setattr(graph, "build_graph", unavailable)
+    monkeypatch.setattr(cli, "build_graph", unavailable)
+    monkeypatch.setattr(transfer, "build_graph", unavailable, raising=False)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 # ---------------------------------------------------------------------------

@@ -75,24 +75,36 @@ def test_edge_kind_partition():
 
 def test_horizontal_ids_index_every_layer():
     g = barrel(5, 3)
-    assert set(g.horizontal_ids) == {(j, l) for j in range(5) for l in range(5)}
+    horizontal = [(e.layer, e.pos) for e in g.edges if e.kind == graph.EDGE_HORIZONTAL]
+    assert sorted(horizontal) == [(j, l) for j in range(5) for l in range(5)]
+
+
+def _blocks(m: int, k: int) -> list[tuple[str, int]]:
+    """Every (kind, layer) of F(m, k) that edge_block accepts."""
+    return ([(graph.EDGE_MGON, 0), (graph.EDGE_MGON, k + 2)]
+            + [(graph.EDGE_HORIZONTAL, j) for j in range(k + 2)]
+            + [(kind, j) for kind in (graph.EDGE_UP, graph.EDGE_DOWN) for j in range(1, k + 2)])
 
 
 @pytest.mark.parametrize("m", range(3, 9))
 @pytest.mark.parametrize("k", range(4))
 def test_edge_ids_lie_in_contiguous_blocks(m, k):
-    """Cap L, layer 0, then per big cycle its 2m edges and the next m horizontals, cap R."""
+    """edge_block agrees with every edge build_graph makes, and its blocks tile the ids."""
     g = barrel(m, k)
-    families = ([(g.cap_ids, "L", m), (g.horizontal_ids, 0, m)]
-                + [(ids, j, size) for j in range(1, k + 2)
-                   for ids, size in ((g.cycle_ids, 2 * m), (g.horizontal_ids, m))]
-                + [(g.cap_ids, "R", m)])
-    base = 0
-    for ids, layer, size in families:
-        assert [ids[(layer, x)] for x in range(size)] == list(range(base, base + size)), layer
-        base += size
-    assert base == g.n_edges
-    assert len(g.cap_ids) + len(g.horizontal_ids) + len(g.cycle_ids) == g.n_edges
+    params = g.params
+    for eid, e in enumerate(g.edges):
+        slot = e.pos // 2 if e.kind in (graph.EDGE_UP, graph.EDGE_DOWN) else e.pos
+        assert graph.edge_block(params, e.kind, e.layer)[slot] == eid, e
+    ids = [eid for kind, layer in _blocks(m, k) for eid in graph.edge_block(params, kind, layer)]
+    assert sorted(ids) == list(range(g.n_edges))
+
+
+@pytest.mark.parametrize("kind,layer", [(graph.EDGE_MGON, 1), (graph.EDGE_MGON, 3),
+                                        (graph.EDGE_HORIZONTAL, -1), (graph.EDGE_HORIZONTAL, 4),
+                                        (graph.EDGE_UP, 0), (graph.EDGE_DOWN, 4), ("face", 1)])
+def test_edge_block_rejects_layers_without_that_kind(kind, layer):
+    with pytest.raises(errors.InvalidParamsError, match="no"):
+        graph.edge_block(graph.BarrelParams(5, 2), kind, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +280,8 @@ def test_tiling_round_trip_f41():
 
 def test_all_horizontal_tiling_kind():
     g = barrel(4, 1)
-    all_horiz = graph.Matching(frozenset(g.horizontal_ids.values()))
+    all_horiz = graph.Matching(frozenset(eid for eid, e in enumerate(g.edges)
+                                         if e.kind == graph.EDGE_HORIZONTAL))
     assert graph.is_perfect(g, all_horiz)
     t = graph.matching_to_tiling(g, all_horiz)
     assert {kind for _, kind in t.rhombi} == {"horizontal"}

@@ -23,7 +23,8 @@ def barrel(m: int, k: int) -> graph.BarrelGraph:
 
 def test_all_horizontal_matching_has_no_walkers():
     g = barrel(4, 1)
-    all_h = graph.Matching(frozenset(g.horizontal_ids.values()))
+    all_h = graph.Matching(frozenset(eid for eid, e in enumerate(g.edges)
+                                     if e.kind == graph.EDGE_HORIZONTAL))
     fam = paths.matching_to_paths(g, all_h)
     assert fam.trajectories == ()
     assert fam.n_walkers == 0
@@ -316,6 +317,16 @@ def test_aggregate_coefficient_m4_is_two(k):
     agg = paths.aggregate_estimate(4, k)
     assert agg.base == pytest.approx(2.0 + SQRT2, rel=1e-12)
     assert agg.coefficient_k1 == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(3, 21))
+def test_aggregate_is_the_closed_product(m):
+    """The estimate is L(m, k) = prod over t_j < 1 of (4 - t_j^2)(2 - t_j)^(k+1), with
+    t_j = 2cos(pi j/m) for 0 < j < m, j = m + 1 mod 2 (no such t_j equals 1)."""
+    ts = [t for j in range(1, m) if j % 2 != m % 2 if (t := 2 * math.cos(math.pi * j / m)) < 1]
+    for k in (0, 1, 3, 10, 40):
+        want = math.prod((4 - t * t) * (2 - t) ** (k + 1) for t in ts)
+        assert paths.aggregate_estimate(m, k).value == pytest.approx(want, rel=1e-12), k
 
 
 def test_aggregate_tracks_dominant_sector():

@@ -25,13 +25,23 @@ def _list_weighted_choice(rng, items):
     raise AssertionError("weighted choice fell past the total weight")
 
 
+def _edge_ids(g):
+    """(kind, layer, pos) -> edge id, read off the graph's edges; the two
+    big-cycle kinds are both keyed "cycle"."""
+    cycle = {graph.EDGE_UP, graph.EDGE_DOWN}
+    return {("cycle" if e.kind in cycle else e.kind, e.layer, e.pos): eid
+            for eid, e in enumerate(g.edges)}
+
+
 def _list_and_sum_draw(sampler, rng):
     """Reference draw returning (profile masks, Matching).
 
     Each layer builds its whole weighted row and sums it before choosing;
-    the fill that follows is the sampler's own, step for step.
+    the fill that follows is the sampler's own, step for step.  Edge ids
+    come from the edges build_graph makes, not from the sampler's tables.
     """
-    m, k, g = sampler.m, sampler.k, sampler.graph
+    m, k = sampler.m, sampler.k
+    ids = _edge_ids(graph.build_graph(graph.BarrelParams(m, k)))
     canon = transfer._classes(m)[0]
     omega = sorted(transfer.boundary_vector(m).items())
     w0 = sampler._suffix[0]
@@ -46,21 +56,21 @@ def _list_and_sum_draw(sampler, rng):
     edges = set()
     for j, s_mask in enumerate(profile):
         for l in elements(s_mask):
-            edges.add(g.horizontal_ids[(j, l)])
+            edges.add(ids[(graph.EDGE_HORIZONTAL, j, l)])
     left = elements(profile[0])
     choice = rng.randrange(2) if not left else 0
     for x, _y in cycle_pairing(m, left, choice):
-        edges.add(g.cap_ids[("L", x)])
+        edges.add(ids[(graph.EDGE_MGON, 0, x)])
     right = elements(profile[-1])
     choice = rng.randrange(2) if not right else 0
     for x, _y in cycle_pairing(m, right, choice):
-        edges.add(g.cap_ids[("R", x)])
+        edges.add(ids[(graph.EDGE_MGON, k + 2, x)])
     for j in range(1, k + 2):
         removed = tuple(sorted([2 * l for l in elements(profile[j - 1])]
                                + [2 * l + 1 for l in elements(profile[j])]))
         choice = rng.randrange(2) if not removed else 0
         for x, _y in cycle_pairing(2 * m, removed, choice):
-            edges.add(g.cycle_ids[(j, x)])
+            edges.add(ids[("cycle", j, x)])
     return profile, graph.Matching(frozenset(edges))
 
 
@@ -143,7 +153,7 @@ def test_prefix_draw_matches_list_and_sum_draw(m, ks):
     """Same profiles, matchings and RNG stream as the list-and-sum draw."""
     for k in ks:
         sampler = transfer.UniformSampler(m, k)
-        g = sampler.graph
+        g = graph.build_graph(graph.BarrelParams(m, k))
         for seed in (0, 1, 20260814):
             new_rng, old_rng = random.Random(seed), random.Random(seed)
             for _ in range(6):
@@ -195,28 +205,29 @@ def test_subset_table_lists_mask_elements():
     assert all(table[mask] == transfer.mask_elements(mask) for mask in range(1 << 7))
 
 
-def test_sampler_rejects_non_contiguous_edge_ids(monkeypatch):
-    real = transfer.build_graph
-
-    def swapped(params):
-        g = real(params)
-        ids = g.cycle_ids
-        ids[(1, 0)], ids[(1, 1)] = ids[(1, 1)], ids[(1, 0)]
-        return g
-
-    monkeypatch.setattr(transfer, "build_graph", swapped)
-    with pytest.raises(errors.StructuralViolationError, match="contiguous"):
-        transfer.UniformSampler(4, 1)
-
-
-def test_sampled_ids_are_the_graph_objects():
-    """The fill reuses the graph's id objects instead of making new ints."""
+def test_draws_share_their_id_objects():
+    """Two draws hold the same int object for every id they share: the fill
+    reads the sampler's id tuples instead of making new ints."""
     sampler = transfer.UniformSampler(12, 10)
-    g = sampler.graph
-    own = {id(eid) for ids in (g.horizontal_ids, g.cycle_ids, g.cap_ids) for eid in ids.values()}
-    mt = sampler.draw(random.Random(5))
-    assert max(mt.edges) > 256  # past the interpreter's shared small ints
-    assert {id(eid) for eid in mt.edges} <= own
+    first, second = (sampler.draw(random.Random(seed)) for seed in (5, 6))
+    shared = first.edges & second.edges
+    assert max(shared) > 256  # past the interpreter's shared small ints
+    objects = {eid: id(eid) for eid in first.edges}
+    assert all(objects[eid] == id(eid) for eid in second.edges if eid in shared)
+
+
+def test_sampler_runs_without_the_graph(monkeypatch):
+    """The sampler reads edge_block, never build_graph."""
+    want = transfer.UniformSampler(12, 10).draw(random.Random(3))
+    transfer._sampler.cache_clear()
+
+    def unavailable(params):
+        raise AssertionError("the sampler built the graph")
+
+    monkeypatch.setattr(graph, "build_graph", unavailable)
+    monkeypatch.setattr(transfer, "build_graph", unavailable, raising=False)
+    assert transfer.UniformSampler(12, 10).draw(random.Random(3)) == want
+    assert transfer.sample_uniform(12, 10, 3) == want
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,23 @@ def test_no_scipy_imports_in_package(module):
     assert found == []
 
 
+def test_transfer_never_builds_the_graph():
+    """The sampler takes its edge ids from graph.edge_block: transfer neither
+    imports nor calls build_graph."""
+    tree = ast.parse((SRC / "transfer.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"import:{node.lineno}" for alias in node.names
+                      if alias.name == "build_graph"]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "build_graph":
+                found.append(f"call:{node.lineno}")
+    assert found == []
+
+
 def test_every_import_is_used():
     """No module imports a name it never reads; __init__ re-exports are exempt."""
     found = []

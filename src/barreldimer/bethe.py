@@ -17,13 +17,13 @@ finite for all (b, c) including b = c.  Multiplying over the whole root
 set recovers the integer polynomial b^m + (-1)^p c^m exactly, which is
 the identity the complementary form is checked against.
 
-At b = c = 1 the largest eigenvalue of B_p is
+At b = c = 1 the largest eigenvalue of B_p is, with e = p mod 2,
 
-    p = 2q:    2 / prod_{r=0}^{q-1} 4 sin^2( pi (2r+1) / (2m) )
-    p = 2q+1:  m / prod_{r=1}^{q}   4 sin^2( pi r / m )
+    lambda_max(p) = (m if e else 2) / prod_{j = 1+e, 3+e, .. < p} 4 sin^2( pi j / (2m) ),
 
-and over sectors of the correct parity it is maximized at exactly
-p0 = m - 2 floor((m+1)/3); the growth constant of the family is
+one factor 2 - t_j per j, with t_j = 2 cos(pi j / m).  Over sectors of the
+correct parity it is maximized at exactly p0 = m - 2 floor((m+1)/3); the
+growth constant of the family is
 
     rho(m) = prod_{j=1}^{floor((m+1)/3)} ( 2 cos( pi (2j-1) / (2m) ) )^2,
 
@@ -37,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .errors import (
     StructuralViolationError,
     TooLargeError,
 )
+from .graph import BarrelParams
 from .transfer import TRANSFER_M_CAP, _count_row, boundary_vector, mask_elements
 
 VERIFY_M_CAP = 8
@@ -59,8 +61,7 @@ CROSSCHECK_TOL = 1e-12
 
 
 def _check_sector(m: int, p: int) -> None:
-    if m < 3:
-        raise InvalidParamsError(f"m must be >= 3, got {m}")
+    BarrelParams(m, 0)
     if not 0 <= p <= m:
         raise SectorError(f"sector p={p} outside [0, {m}]")
 
@@ -285,38 +286,41 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
 # extremal eigenvalues and the growth constant
 # ---------------------------------------------------------------------------
 
-def _in_range(m: int, value: float) -> float:
-    """value, or TooLargeError when a result for width m has left the float range."""
+def _in_range(what: str, compute: Callable[[], float]) -> float:
+    """compute(), or TooLargeError when `what` leaves the float range.
+
+    Float ** raises OverflowError where * and / give inf, and a quotient
+    whose denominator underflowed to 0 is out of range too.
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
     if not math.isfinite(value):
-        raise TooLargeError(f"result for m={m} exceeds the float range")
+        raise TooLargeError(f"{what} exceeds the float range")
     return value
 
 
 def lambda_max_sector(m: int, p: int) -> float:
-    """Largest eigenvalue of sector p at b = c = 1, in closed form; TooLargeError
-    when it leaves the float range or its denominator underflows to 0."""
+    """Largest eigenvalue of sector p at b = c = 1: with e = p mod 2,
+    (m if e else 2) / prod 4 sin^2(pi j / (2m)) over j = 1+e, 3+e, .. < p.
+
+    TooLargeError when it leaves the float range or its denominator
+    underflows to 0.
+    """
     _check_sector(m, p)
-    if p % 2 == 0:
-        num, angles = 2.0, [math.pi * (2 * r + 1) / (2 * m) for r in range(p // 2)]
-    else:
-        num, angles = m, [math.pi * r / m for r in range(1, (p - 1) // 2 + 1)]
-    denom = 1.0
-    for angle in angles:
-        denom *= 4 * math.sin(angle) ** 2
-    return _in_range(m, num / denom if denom else math.inf)
+    denom = math.prod(4 * math.sin(math.pi * j / (2 * m)) ** 2 for j in range(1 + p % 2, p, 2))
+    return _in_range(f"result for m={m}", lambda: (m if p % 2 else 2.0) / denom)
 
 
 def p_zero(m: int) -> int:
     """Sector carrying the largest eigenvalue overall: m - 2 floor((m+1)/3)."""
-    if m < 3:
-        raise InvalidParamsError(f"m must be >= 3, got {m}")
-    return m - 2 * ((m + 1) // 3)
+    return m - n_zero(m)
 
 
 def n_zero(m: int) -> int:
     """Complementary walker number 2 floor((m+1)/3) = m - p_zero(m)."""
-    if m < 3:
-        raise InvalidParamsError(f"m must be >= 3, got {m}")
+    BarrelParams(m, 0)
     return 2 * ((m + 1) // 3)
 
 
@@ -325,14 +329,12 @@ def growth_constant(m: int) -> float:
 
     Raises FormulaMismatchError if the two routes disagree beyond 1e-12
     relative, NaN included; never silently prefers one.  From m = 2198
-    rho(m) exceeds the float range and TooLargeError is raised.
+    rho(m) leaves the float range and TooLargeError is raised.
     """
-    if m < 3:
-        raise InvalidParamsError(f"m must be >= 3, got {m}")
     prod = 1.0
-    for j in range(1, (m + 1) // 3 + 1):
+    for j in range(1, n_zero(m) // 2 + 1):
         prod *= (2 * math.cos(math.pi * (2 * j - 1) / (2 * m))) ** 2
-    _in_range(m, prod)
+    _in_range(f"result for m={m}", lambda: prod)
     lam = lambda_max_sector(m, p_zero(m))
     if not abs(prod - lam) <= CROSSCHECK_TOL * abs(lam):
         raise FormulaMismatchError(

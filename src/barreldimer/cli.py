@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import random
 import sys
 
@@ -52,6 +54,20 @@ def _write_out(text: str, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise BarrelError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out that is a directory or lies in a missing one, before any
+    work is done; nothing is created.  Other write errors surface at the write."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise BarrelError(f"cannot write {out}: {os.strerror(code)}")
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -329,6 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "index", None) is not None and args.index < 0:
         parser.error("--index must be >= 0")
     try:
+        _check_out(args.out)
         return args.fn(args)
     except BarrelError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bethe import lambda_max_sector, n_zero
+from .bethe import _in_range, lambda_max_sector, n_zero
 from .errors import (
     FormulaMismatchError,
     InvalidParamsError,
@@ -297,8 +297,8 @@ def krattenthaler_estimate(m: int, k: int, eta: Sequence[float], lam: Sequence[f
                 f"breaks the k+1 = {k + 1} step parity")
 
     sines = _sine_product(m, etas) * _sine_product(m, lams)
-    value = _finite(m, k, lambda: 2.0 ** (n * n - n) / (n * float(m) ** n)
-                    * eigenterm(m, n) ** (k + 1) * sines)
+    value = _in_range(f"estimate for m={m}, k={k}", lambda: 2.0 ** (n * n - n)
+                      / (n * float(m) ** n) * eigenterm(m, n) ** (k + 1) * sines)
     return AsymptoticEstimate(m, k, n, tuple(etas), tuple(lams), s, value)
 
 
@@ -309,17 +309,6 @@ def _sine_product(m: int, coords: Sequence[float]) -> float:
         for y in coords[h + 1:]:
             out *= abs(math.sin(math.pi * (x - y) / m))
     return out
-
-
-def _finite(m: int, k: int, compute) -> float:
-    """compute(), or TooLargeError when the estimate leaves the float range."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise TooLargeError(f"estimate for m={m}, k={k} exceeds the float range")
-    return value
 
 
 def eigenterm(m: int, n: int) -> float:
@@ -357,14 +346,15 @@ def aggregate_estimate(m: int, k: int, n: int | None = None) -> AggregateEstimat
     if n <= 0 or n > m or n % 2:
         raise SectorError(f"aggregate needs even n in [2, {m}], got {n}")
     base = eigenterm(m, n)
-    _finite(m, k, lambda: base ** (k + 1))  # fail before enumerating 2^m boundaries
+    what = f"estimate for m={m}, k={k}"
+    _in_range(what, lambda: base ** (k + 1))  # fail before enumerating 2^m boundaries
     amplitude = sum(mult * _sine_product(m, [site / 2 for site in sorted(sites)])
                     for sites, mult in admissible_boundaries(m) if len(sites) == n)
-    total = _finite(m, k, lambda: 2.0 ** (n * n - n) / float(m) ** n
-                    * base ** (k + 1) * amplitude * amplitude)
+    total = _in_range(what, lambda: 2.0 ** (n * n - n) / float(m) ** n
+                      * base ** (k + 1) * amplitude * amplitude)
     return AggregateEstimate(m, k, n, total, base,
-                             _finite(m, k, lambda: total / base**k),
-                             _finite(m, k, lambda: total / base ** (k + 1)))
+                             _in_range(what, lambda: total / base**k),
+                             _in_range(what, lambda: total / base ** (k + 1)))
 
 
 @dataclass(frozen=True)
@@ -381,8 +371,7 @@ def leading_n_consistency(m: int) -> LeadingReport:
     Raises FormulaMismatchError on any relative gap above LEADING_TOL or
     if the maximizing walker number is not n_zero(m).
     """
-    if m < 3:
-        raise InvalidParamsError(f"m must be >= 3, got {m}")
+    BarrelParams(m, 0)
     entries = []
     best_n, best_val = 0, float("-inf")
     for n in range(0, m + 1, 2):

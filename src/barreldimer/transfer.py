@@ -116,8 +116,7 @@ def boundary_vector(m: int) -> dict[int, int]:
     come out in ascending mask order without visiting the other masks.  m
     above BOUNDARY_M_CAP raises TooLargeError.
     """
-    if m < 3:
-        raise InvalidParamsError(f"m must be >= 3, got {m}")
+    BarrelParams(m, 0)
     if m > BOUNDARY_M_CAP:
         raise TooLargeError(f"m={m} exceeds boundary scan cap {BOUNDARY_M_CAP}")
     omega: dict[int, int] = {0: 2} if m % 2 == 0 else {}
@@ -203,8 +202,7 @@ def build_transfer(m: int, mode: str = "count", *,
     mode is kept for callers that pass "count" positionally; any other
     value raises InvalidParamsError.
     """
-    if m < 3:
-        raise InvalidParamsError(f"m must be >= 3, got {m}")
+    BarrelParams(m, 0)
     if m > TRANSFER_M_CAP:
         raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP} (2^m states)")
     if mode != "count":
@@ -322,6 +320,13 @@ def sector_count(m: int, k: int, p: int) -> int:
     return _class_power(m, k, boundary_vector(m), p)[0]
 
 
+def _second_order(a: int, b: int, x0: int, x1: int, k: int) -> int:
+    """x_k of x_(n+1) = a x_n + b x_(n-1) from x_0 and x_1."""
+    for _ in range(k):
+        x0, x1 = x1, a * x1 + b * x0
+    return x0
+
+
 def closed_form_345(m: int, k: int) -> int:
     """Closed-form Phi(F(m, k)) for m in {3, 4, 5}, all-integer recurrences.
 
@@ -333,21 +338,9 @@ def closed_form_345(m: int, k: int) -> int:
     if m == 3:
         return 3 ** (k + 2) + 1
     if m == 4:
-        u_prev, u = 8, 24
-        if k == 0:
-            u = u_prev
-        else:
-            for _ in range(k - 1):
-                u_prev, u = u, 4 * u - 2 * u_prev
-        return u + 2 ** (k + 3) + 1
+        return _second_order(4, -2, 8, 24, k) + 2 ** (k + 3) + 1
     if m == 5:
-        v_prev, v = 2, 5
-        if k == 0:
-            v = v_prev
-        else:
-            for _ in range(k - 1):
-                v_prev, v = v, 5 * v - 5 * v_prev
-        return 5 ** (k + 2) + 5 * v + 1
+        return 5 ** (k + 2) + 5 * _second_order(5, -5, 2, 5, k) + 1
     raise UnsupportedParameterError(f"closed form only for m in {{3, 4, 5}}, got m={m}")
 
 

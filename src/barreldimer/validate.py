@@ -21,6 +21,11 @@ from .graph import BarrelParams, build_graph, count_matchings_brute, validate_st
 
 SAMPLER_SEED = 20260814
 CHI2_QUANTILE = 0.999
+# Critical value of the sampler criterion: the CHI2_QUANTILE quantile of the
+# chi-square distribution with 27 degrees of freedom (the 28 matchings of
+# F(3, 1)), found by inverting the incomplete-gamma series to the nearest
+# double.  tests/test_validate.py checks it against scipy.
+CHI2_CRITICAL = 55.47602020575424
 
 
 @dataclass(frozen=True)
@@ -189,41 +194,6 @@ def _check_entropy(fast: bool) -> tuple[bool, str]:
     return True, f"routes agree to {gap:.2e}; h(998..1000) within 1e-3 of the limit"
 
 
-def _chi2_quantile(q: float, dof: int) -> float:
-    """Inverse CDF of the chi-square distribution with dof degrees of freedom.
-
-    The CDF is the regularized lower incomplete gamma P(dof/2, x/2), summed
-    from its power series, whose terms are all positive, so the sum keeps
-    full relative precision.  Bisection then runs until the bracket holds
-    two adjacent doubles.
-    """
-    if not 0.0 < q < 1.0 or dof < 1:
-        raise InvalidParamsError(f"need 0 < q < 1 and dof >= 1, got q={q}, dof={dof}")
-    a = dof / 2
-
-    def cdf(x: float) -> float:
-        h = x / 2
-        term = total = 1.0
-        n = 0
-        while term > total * 1e-17:
-            n += 1
-            term *= h / (a + n)
-            total += term
-        return math.exp(a * math.log(h) - h - math.lgamma(a + 1)) * total
-
-    lo, hi = 0.0, float(dof)
-    while cdf(hi) < q:
-        lo, hi = hi, 2 * hi
-    while True:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            return mid
-        if cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-
-
 def _check_sampler(fast: bool) -> tuple[bool, str]:
     n_samples = 28 * (100 if fast else 1000)
     sampler = transfer.UniformSampler(3, 1)
@@ -238,10 +208,9 @@ def _check_sampler(fast: bool) -> tuple[bool, str]:
         return False, f"only {len(freqs)} of 28 matchings observed"
     expected = n_samples / 28
     stat = sum((obs - expected) ** 2 / expected for obs in freqs.values())
-    critical = _chi2_quantile(CHI2_QUANTILE, 27)
-    if stat > critical:
-        return False, f"chi-square {stat:.2f} > {critical:.2f} (27 dof, q={CHI2_QUANTILE})"
-    return True, f"chi-square {stat:.2f} < {critical:.2f} on {n_samples} seeded samples"
+    if stat > CHI2_CRITICAL:
+        return False, f"chi-square {stat:.2f} > {CHI2_CRITICAL:.2f} (27 dof, q={CHI2_QUANTILE})"
+    return True, f"chi-square {stat:.2f} < {CHI2_CRITICAL:.2f} on {n_samples} seeded samples"
 
 
 CRITERIA: tuple[tuple[int, str, object], ...] = (

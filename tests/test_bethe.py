@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from barreldimer import bethe, errors, transfer
+from barreldimer import bethe, errors, paths, transfer
 from conftest import amplitudes_by_entry, weighted_block_entry
 
 
@@ -53,6 +53,26 @@ def test_bad_sector_raises_on_every_call(m, p, error):
     for _ in range(3):
         with pytest.raises(error):
             bethe.roots_for_sector(m, p)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m: bethe.roots_for_sector(m, 1),
+    lambda m: bethe.selections_for_sector(m, 1),
+    lambda m: bethe.lambda_max_sector(m, 1),
+    bethe.p_zero,
+    bethe.n_zero,
+    bethe.growth_constant,
+    paths.leading_n_consistency,
+    transfer.boundary_vector,
+    transfer.build_transfer,
+], ids=["roots_for_sector", "selections_for_sector", "lambda_max_sector", "p_zero",
+        "n_zero", "growth_constant", "leading_n_consistency", "boundary_vector",
+        "build_transfer"])
+@pytest.mark.parametrize("m", [2, 3.5])
+def test_width_entry_points_raise_invalid_params(entry, m):
+    """A width below 3 or not an int is refused with a typed error, not a value."""
+    with pytest.raises(errors.InvalidParamsError):
+        entry(m)
 
 
 def test_selections_are_colex_ordered():

@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
-from barreldimer import bethe, cli, graph, transfer
+from barreldimer import bethe, cli, graph, transfer, validate
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -175,18 +175,24 @@ def test_count_counts_are_decimal_strings(tmp_path):
     assert isinstance(val, str) and val.isdigit()
 
 
-@pytest.mark.parametrize("argv", [
-    ["count", "--m", "3", "--k", "1"],
-    ["sample", "--m", "3", "--k", "1", "--samples", "2"],
-    ["validate"],
+@pytest.mark.parametrize("argv, module, work", [
+    (["count", "--m", "3", "--k", "1"], transfer, "count_matchings_transfer"),
+    (["sample", "--m", "3", "--k", "1", "--samples", "2"], transfer, "UniformSampler"),
+    (["validate"], validate, "run_criteria"),
 ], ids=["count", "sample", "validate"])
-def test_out_in_a_missing_directory_exits_one(capsys, tmp_path, argv):
-    out = tmp_path / "missing" / "out.txt"
-    assert cli.main([*argv, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
-    assert str(out) in captured.err
+def test_out_in_a_missing_directory_exits_one(monkeypatch, capsys, tmp_path, argv, module, work):
+    """An --out in a missing directory, or naming one, exits 1 before any work."""
+    def unreachable(*args):
+        raise AssertionError(f"{work} ran despite an unusable --out")
+
+    monkeypatch.setattr(module, work, unreachable)
+    for out in (tmp_path / "missing" / "out.txt", tmp_path):
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert f"cannot write {out}: " in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_count_invalid_m_exits_one():

@@ -110,3 +110,14 @@ def test_every_module_constant_is_read():
                       if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
                       and t.id not in read]
     assert found == []
+
+
+@pytest.mark.parametrize("literal", ["exceeds the float range", "m must be >= 3"])
+def test_each_guard_message_is_written_once(literal):
+    """The float-range guard and the width check each live in one function under src/."""
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    owners = [f"{name}:{node.name}" for name, text in texts.items()
+              for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)
+              and literal in ast.get_source_segment(text, node)]
+    assert sum(text.count(literal) for text in texts.values()) == 1
+    assert len(owners) == 1, owners

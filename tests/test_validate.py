@@ -8,17 +8,10 @@ from scipy.stats import chi2
 from barreldimer import errors, validate
 
 
-@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
-def test_chi2_quantile_matches_scipy(q):
-    for dof in range(1, 61):
-        want = chi2.ppf(q, dof)
-        assert validate._chi2_quantile(q, dof) == pytest.approx(want, rel=1e-10, abs=0)
-
-
-@pytest.mark.parametrize("q,dof", [(0.0, 5), (1.0, 5), (0.5, 0)])
-def test_chi2_quantile_rejects_bad_arguments(q, dof):
-    with pytest.raises(errors.InvalidParamsError):
-        validate._chi2_quantile(q, dof)
+def test_chi2_critical_matches_scipy():
+    """The pinned critical value is the CHI2_QUANTILE quantile of chi-square with 27 dof."""
+    want = chi2.ppf(validate.CHI2_QUANTILE, 27)
+    assert validate.CHI2_CRITICAL == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_unknown_level_is_invalid_params():

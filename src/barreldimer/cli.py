@@ -45,13 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(out: str | None, *parts: str) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as exc:
             raise BarrelError(f"cannot write {out}: {exc.strerror or exc}") from None
 
@@ -70,8 +70,13 @@ def _check_out(out: str | None) -> None:
     raise BarrelError(f"cannot write {out}: {os.strerror(code)}")
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    _write_out(json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n", out)
+def _emit(args, obj: dict, lines: list[str]) -> None:
+    """Write obj as JSON or the text lines, as --format asks."""
+    if args.format == "json":
+        text = json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    else:
+        text = "\n".join(lines)
+    _write_out(args.out, text, "\n")  # text + "\n" would copy sample's 2.8 MB of JSON
 
 
 def cmd_count(args) -> int:
@@ -95,12 +100,8 @@ def cmd_count(args) -> int:
         "counts": {name: str(v) for name, v in sorted(counts.items())},
         "agree": agree,
     }
-    if args.format == "json":
-        _emit_json(obj, args.out)
-    else:
-        lines = [f"{name}: {v}" for name, v in sorted(counts.items())]
-        lines.append(f"agree: {agree}")
-        _write_out("\n".join(lines) + "\n", args.out)
+    lines = [f"{name}: {v}" for name, v in sorted(counts.items())]
+    _emit(args, obj, lines + [f"agree: {agree}"])
     return EXIT_OK if agree else EXIT_VALIDATION
 
 
@@ -116,13 +117,9 @@ def cmd_growth(args) -> int:
         "entropy": h,
         "entropy_gap_to_limit": h - limit,
     }
-    if args.format == "json":
-        _emit_json(obj, args.out)
-    else:
-        text = (f"rho({args.m}) = {rho!r}\n"
-                f"p0 = {obj['p0']}, n0 = {obj['n0']}\n"
-                f"h({args.m}) = {h!r} (limit gap {obj['entropy_gap_to_limit']:+.3e})\n")
-        _write_out(text, args.out)
+    _emit(args, obj, [f"rho({args.m}) = {rho!r}",
+                      f"p0 = {obj['p0']}, n0 = {obj['n0']}",
+                      f"h({args.m}) = {h!r} (limit gap {obj['entropy_gap_to_limit']:+.3e})"])
     return EXIT_OK
 
 
@@ -140,15 +137,12 @@ def cmd_spectrum(args) -> int:
     obj = {"m": args.m, "p": args.p, "b": args.b, "c": args.c,
            "dimension": spectrum.dimension, "rank": spectrum.rank,
            "max_residual": spectrum.max_residual, "entries": entries}
-    if args.format == "json":
-        _emit_json(obj, args.out)
-    else:
-        lines = [f"sector p={args.p} of m={args.m} at b={args.b}, c={args.c}: "
-                 f"dim {spectrum.dimension}, rank {spectrum.rank}"]
-        for e in spectrum.entries:
-            lines.append(f"  {e.selection}: lambda = {e.eigenvalue:.12g}, "
-                         f"residual {e.residual:.2e}")
-        _write_out("\n".join(lines) + "\n", args.out)
+    lines = [f"sector p={args.p} of m={args.m} at b={args.b}, c={args.c}: "
+             f"dim {spectrum.dimension}, rank {spectrum.rank}"]
+    for e in spectrum.entries:
+        lines.append(f"  {e.selection}: lambda = {e.eigenvalue:.12g}, "
+                     f"residual {e.residual:.2e}")
+    _emit(args, obj, lines)
     return EXIT_OK
 
 
@@ -171,35 +165,28 @@ def cmd_asymptotic(args) -> int:
             raise BarrelError("either --aggregate or both --eta and --lambda are required")
         est = paths.krattenthaler_estimate(args.m, args.k, args.eta, args.lam, args.s)
         obj = {"m": args.m, "k": args.k, "n": est.n, "estimate": est.value}
-    if args.format == "json":
-        _emit_json(obj, args.out)
-    else:
-        lines = [f"{key} = {value}" for key, value in obj.items()]
-        _write_out("\n".join(lines) + "\n", args.out)
+    _emit(args, obj, [f"{key} = {value}" for key, value in obj.items()])
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     results = validate.run_criteria(args.level)
     all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        obj = {
-            "level": args.level,
-            "passed": all_passed,
-            "criteria": [
-                {"index": r.index, "name": r.name, "passed": r.passed,
-                 "detail": r.detail, "seconds": round(r.seconds, 3)}
-                for r in results
-            ],
-        }
-        _emit_json(obj, args.out)
-    else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{status}  {r.index:2d} {r.name:24s} {r.seconds:7.2f}s  {r.detail}")
-        lines.append("all criteria passed" if all_passed else "FAILURES present")
-        _write_out("\n".join(lines) + "\n", args.out)
+    obj = {
+        "level": args.level,
+        "passed": all_passed,
+        "criteria": [
+            {"index": r.index, "name": r.name, "passed": r.passed,
+             "detail": r.detail, "seconds": round(r.seconds, 3)}
+            for r in results
+        ],
+    }
+    lines = []
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(f"{status}  {r.index:2d} {r.name:24s} {r.seconds:7.2f}s  {r.detail}")
+    lines.append("all criteria passed" if all_passed else "FAILURES present")
+    _emit(args, obj, lines)
     return EXIT_OK if all_passed else EXIT_VALIDATION
 
 
@@ -213,11 +200,7 @@ def cmd_sample(args) -> int:
     draws = [sampler.draw(rng).sorted_ids() for _ in range(args.samples)]
     if not all(map({int}.issuperset, (map(type, ids) for ids in draws))):
         raise StructuralViolationError("a sampled edge id is not an int")
-    if args.format == "json":
-        obj = {"m": args.m, "k": args.k, "seed": args.seed,
-               "samples": [list(ids) for ids in draws]}
-        _emit_json(obj, args.out)
-    elif args.format == "csv":
+    if args.format == "csv":
         freqs: dict[tuple[int, ...], int] = {}
         for ids in draws:
             freqs[ids] = freqs.get(ids, 0) + 1
@@ -226,9 +209,12 @@ def cmd_sample(args) -> int:
         writer.writerow(["matching_edges", "count"])
         for ids, cnt in sorted(freqs.items()):
             writer.writerow([";".join(map(str, ids)), cnt])
-        _write_out(buf.getvalue(), args.out)
+        _write_out(args.out, buf.getvalue())
+    elif args.format == "text":
+        _write_out(args.out, "".join(" ".join(map(str, ids)) + "\n" for ids in draws))
     else:
-        _write_out("".join(" ".join(map(str, ids)) + "\n" for ids in draws), args.out)
+        _emit(args, {"m": args.m, "k": args.k, "seed": args.seed,
+                     "samples": [list(ids) for ids in draws]}, [])
     return EXIT_OK
 
 
@@ -249,7 +235,7 @@ def cmd_render(args) -> int:
                 break
         if matching is None:
             raise BarrelError(f"matching index {index} out of range")
-    _write_out(render.render_view(g, args.what, matching), args.out)
+    _write_out(args.out, render.render_view(g, args.what, matching))
     return EXIT_OK
 
 

@@ -538,9 +538,11 @@ def parse_edge_list(text: str) -> BarrelGraph:
         raise UnknownFormatError("edge list lacks cap or cycle vertices")
     m = max(left) + 1
     k = max(layers) - 1
-    g = build_graph(BarrelParams(m, k))
-    canon = {frozenset((g.labels[e.u], g.labels[e.v])): e.kind_token() for e in g.edges}
-    if seen_edges != canon:
+    params = BarrelParams(m, k)
+    # The count goes first: the graph is sized by the largest labels alone.
+    g = build_graph(params) if len(seen_edges) == params.n_edges else None
+    if g is None or seen_edges != {frozenset((g.labels[e.u], g.labels[e.v])): e.kind_token()
+                                   for e in g.edges}:
         raise StructuralViolationError(
             f"edge list does not describe the canonical F({m},{k})")
     return g

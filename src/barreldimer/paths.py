@@ -60,7 +60,7 @@ from .graph import (
     Matching,
     horizontal_profile,
 )
-from .transfer import boundary_vector
+from .transfer import _check_boundary_cap, boundary_vector
 
 LEADING_TOL = 1e-12
 # Each walker step visits up to 2^m slot masks with integers of ~k log2 rho
@@ -128,7 +128,7 @@ def admissible_boundaries(m: int) -> tuple[tuple[frozenset[int], int], ...]:
     configuration multiplicity 1, all others multiplicity 1.
     """
     out = []
-    for s_mask, mult in sorted(boundary_vector(m).items()):
+    for s_mask, mult in boundary_vector(m).items():
         holes = frozenset(2 * l for l in range(m) if not s_mask >> l & 1)
         out.append((holes, mult))
     out.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
@@ -345,6 +345,7 @@ def aggregate_estimate(m: int, k: int, n: int | None = None) -> AggregateEstimat
         n = n_zero(m)
     if n <= 0 or n > m or n % 2:
         raise SectorError(f"aggregate needs even n in [2, {m}], got {n}")
+    _check_boundary_cap(m)  # before eigenterm's O(n) product
     base = eigenterm(m, n)
     what = f"estimate for m={m}, k={k}"
     _in_range(what, lambda: base ** (k + 1))  # fail before enumerating 2^m boundaries

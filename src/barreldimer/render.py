@@ -46,18 +46,17 @@ def _vertex_xy(g: BarrelGraph, v: int) -> tuple[float, float]:
     return (j + 1) * UNIT_X, i * UNIT_Y
 
 
-def _canvas(g: BarrelGraph) -> tuple[float, float]:
+def _svg(g: BarrelGraph, body: list[str]) -> str:
+    """The SVG document holding body, on a canvas sized to g."""
     width = (g.k + 2) * UNIT_X + 2 * MARGIN
     height = (2 * g.m - 1) * UNIT_Y + 2 * MARGIN
-    return width, height
-
-
-def _svg_open(width: float, height: float) -> list[str]:
-    return [
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-    ]
+        *body,
+        "</svg>",
+    ]) + "\n"
 
 
 def _edge_lines(g: BarrelGraph, eid: int, stroke: str, width: float) -> list[str]:
@@ -97,11 +96,7 @@ def _graph_body(g: BarrelGraph, light: bool = False) -> list[str]:
 
 
 def render_graph(g: BarrelGraph) -> str:
-    width, height = _canvas(g)
-    parts = _svg_open(width, height)
-    parts.extend(_graph_body(g))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(g, _graph_body(g))
 
 
 def _rhombus_polygon(g: BarrelGraph, eid: int, kind: str) -> str:
@@ -132,20 +127,15 @@ def _rhombus_polygon(g: BarrelGraph, eid: int, kind: str) -> str:
 
 def render_tiling(g: BarrelGraph, matching: Matching) -> str:
     tiling = matching_to_tiling(g, matching)
-    width, height = _canvas(g)
-    parts = _svg_open(width, height)
-    parts.extend(_graph_body(g, light=True))
+    parts = _graph_body(g, light=True)
     for eid, kind in tiling.rhombi:
         parts.append(_rhombus_polygon(g, eid, kind))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(g, parts)
 
 
 def render_paths(g: BarrelGraph, matching: Matching) -> str:
     family = matching_to_paths(g, matching)
-    width, height = _canvas(g)
-    parts = _svg_open(width, height)
-    parts.extend(_graph_body(g, light=True))
+    parts = _graph_body(g, light=True)
     n_sites = 2 * g.m
     palette = ["#c0392b", "#2471a3", "#1e8449", "#b7950b", "#7d3c98", "#146c6c"]
     for w_idx, traj in enumerate(family.trajectories):
@@ -169,8 +159,7 @@ def render_paths(g: BarrelGraph, matching: Matching) -> str:
             coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="2.6"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(g, parts)
 
 
 def render_view(g: BarrelGraph, what: str, matching: Matching | None = None) -> str:

@@ -105,6 +105,12 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_boundary_cap(m: int) -> None:
+    """TooLargeError for m above BOUNDARY_M_CAP, where omega is not scanned."""
+    if m > BOUNDARY_M_CAP:
+        raise TooLargeError(f"m={m} exceeds boundary scan cap {BOUNDARY_M_CAP}")
+
+
 def boundary_vector(m: int) -> dict[int, int]:
     """Cap vector omega_S = #PM(C_m - S), returned sparsely (nonzero only).
 
@@ -117,8 +123,7 @@ def boundary_vector(m: int) -> dict[int, int]:
     above BOUNDARY_M_CAP raises TooLargeError.
     """
     BarrelParams(m, 0)
-    if m > BOUNDARY_M_CAP:
-        raise TooLargeError(f"m={m} exceeds boundary scan cap {BOUNDARY_M_CAP}")
+    _check_boundary_cap(m)
     omega: dict[int, int] = {0: 2} if m % 2 == 0 else {}
     # chains[h][q]: ascending masks of alternating-parity sets with top
     # element h and cardinality = q mod 2.  Below {h} itself, the sets with

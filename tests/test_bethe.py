@@ -6,6 +6,7 @@ inside verify_sector; here we freeze concrete eigenvalues and identities.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -309,6 +310,21 @@ def test_growth_constant_internal_crosscheck_never_trips():
         assert bethe.growth_constant(m) > 1.0
 
 
+def test_growth_constant_stops_at_the_first_inf(monkeypatch):
+    """Every factor is >= 1, so the product stops within ~512 of m = 10^12's 3.3e11 factors."""
+    real, calls = math.cos, [0]
+
+    def counted(x):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise AssertionError("cosine product kept going after inf")
+        return real(x)
+
+    monkeypatch.setattr(math, "cos", counted)
+    with pytest.raises(errors.TooLargeError, match="float range"):
+        bethe.growth_constant(10**12)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 def test_dominant_sector_is_p_zero(m):
     p0 = bethe.p_zero(m)
@@ -332,6 +348,15 @@ def test_growth_constant_agrees_with_empirical_ratio():
 # ---------------------------------------------------------------------------
 # Perron vector positivity
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_top_selection_takes_the_roots_nearest_one(m):
+    """The p root indices whose |arg z| is smallest; the cut never splits a conjugate pair."""
+    for p in range(m + 1):
+        roots = bethe.roots_for_sector(m, p)
+        nearest = sorted(range(m), key=lambda r: abs(cmath.phase(roots[r])))[:p]
+        assert bethe.top_selection(m, p) == tuple(sorted(nearest)), p
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])

@@ -268,6 +268,18 @@ def test_spectrum_json_shape(tmp_path):
     assert top["eigenvalue"][0] == pytest.approx(3.414213562373095, rel=1e-9)
 
 
+@pytest.mark.parametrize("m,p,digest", [
+    (5, 3, "8dbba0b3d992aceb8953849ae2536f8fad83000027f721fe046a997511c290b1"),
+    (6, 2, "4d7906efd054174c578130887875f1f259eb6063e29f5d54f8e241485cd687d8"),
+])
+def test_spectrum_bytes_are_pinned(tmp_path, m, p, digest):
+    """JSON at the default weights; the omega overlaps move in their last bits
+    if the amplitude rows are read with a stride."""
+    out = tmp_path / "spec.json"
+    assert cli.main(["spectrum", "--m", str(m), "--p", str(p), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_asymptotic_aggregate_m3(tmp_path):
     out = tmp_path / "agg.json"
     assert cli.main(["asymptotic", "--m", "3", "--k", "4", "--aggregate", "--out", str(out)]) == 0
@@ -503,6 +515,19 @@ def test_count_k_cap_exits_one(method):
     proc = run_cli("count", "--m", "3", "--k", "100000000", "--method", method)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "exceeds" in proc.stderr
+
+
+def test_json_output_is_not_copied_to_append_its_newline(monkeypatch, capsys):
+    """sample's JSON runs to megabytes; text + "\n" would hold it twice at the peak."""
+    real = cli.json.dumps
+
+    class Whole(str):
+        def __add__(self, other):
+            raise AssertionError("JSON output copied to append its newline")
+
+    monkeypatch.setattr(cli.json, "dumps", lambda *args, **kw: Whole(real(*args, **kw)))
+    assert cli.main(["sample", "--m", "3", "--k", "1", "--samples", "2", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["samples"]) == 2
 
 
 def test_sample_schema_keeps_its_envelope():

@@ -315,6 +315,16 @@ def test_export_unknown_format_raises():
         graph.export_graph(barrel(3, 0), "graphml")
 
 
+def test_parse_counts_the_edges_before_building_the_graph(monkeypatch):
+    """One edge naming F(10000, 9998) must not build that graph first."""
+    def boom(params):
+        raise AssertionError("graph built before the edge count was checked")
+
+    monkeypatch.setattr(graph, "build_graph", boom)
+    with pytest.raises(errors.StructuralViolationError):
+        graph.parse_edge_list("L:9999 C:10000:0 horizontal")
+
+
 def test_parse_rejects_tampered_edge_list():
     g = barrel(3, 1)
     text = graph.export_graph(g, "edges")

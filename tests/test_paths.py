@@ -399,6 +399,15 @@ def test_aggregate_overflow_raises_before_boundary_scan(monkeypatch):
         paths.aggregate_estimate(20, 300)
 
 
+def test_aggregate_refuses_m_above_the_boundary_cap_before_eigenterm(monkeypatch):
+    def boom(m, n):
+        raise AssertionError("eigenterm's O(n) product ran above the boundary cap")
+
+    monkeypatch.setattr(paths, "eigenterm", boom)
+    with pytest.raises(errors.TooLargeError, match="boundary scan cap"):
+        paths.aggregate_estimate(21, 1)
+
+
 def test_dp_estimate_ratio_without_walkers_raises():
     with pytest.raises(errors.InvalidParamsError):
         paths.dp_estimate_ratio(4, 3, [], [])

@@ -112,9 +112,12 @@ def test_every_module_constant_is_read():
     assert found == []
 
 
-@pytest.mark.parametrize("literal", ["exceeds the float range", "m must be >= 3"])
+@pytest.mark.parametrize("literal", ["exceeds the float range", "m must be >= 3",
+                                     "exceeds boundary scan cap", 'args.format == "json"',
+                                     '"</svg>"'])
 def test_each_guard_message_is_written_once(literal):
-    """The float-range guard and the width check each live in one function under src/."""
+    """The float-range guard, the width check, the boundary cap, the CLI's JSON
+    branch and the SVG frame each live in one function under src/."""
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     owners = [f"{name}:{node.name}" for name, text in texts.items()
               for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)

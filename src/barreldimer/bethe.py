@@ -22,12 +22,10 @@ At b = c = 1 the largest eigenvalue of B_p is, with e = p mod 2,
     lambda_max(p) = (m if e else 2) / prod_{j = 1+e, 3+e, .. < p} 4 sin^2( pi j / (2m) ),
 
 one factor 2 - t_j per j, with t_j = 2 cos(pi j / m).  Over sectors of the
-correct parity it is maximized at exactly p0 = m - 2 floor((m+1)/3); the
-growth constant of the family is
-
-    rho(m) = prod_{j=1}^{floor((m+1)/3)} ( 2 cos( pi (2j-1) / (2m) ) )^2,
-
-computed by both routes and cross-checked to 1e-12 before being trusted.
+correct parity it is maximized at exactly p0 = m - 2 floor((m+1)/3).  It
+equals the walker base eigenterm(m, m - p), a product of 4 cos^2 factors
+formed by the same loop; the growth constant is rho(m) = eigenterm(m, n0),
+n0 = m - p0, cross-checked against lambda_max(p0) to 1e-12 before being trusted.
 """
 
 from __future__ import annotations
@@ -53,17 +51,11 @@ from .errors import (
     TooLargeError,
 )
 from .graph import BarrelParams
-from .transfer import TRANSFER_M_CAP, _count_row, boundary_vector, mask_elements
+from .transfer import _check_count_size, _check_sector, _count_row, boundary_vector, mask_elements
 
 VERIFY_M_CAP = 8
 RESIDUAL_TOL = 1e-9
 CROSSCHECK_TOL = 1e-12
-
-
-def _check_sector(m: int, p: int) -> None:
-    BarrelParams(m, 0)
-    if not 0 <= p <= m:
-        raise SectorError(f"sector p={p} outside [0, {m}]")
 
 
 @lru_cache(maxsize=64)
@@ -125,10 +117,9 @@ def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
         raise SectorError(f"selection size {len(sel)} != p = {p}")
     if len(set(sel)) != p:
         raise DegenerateRootsError(f"repeated root indices in {sel}")
-    if sel and not (0 <= sel[0] and sel[-1] < m):
+    if not all(type(r) is int and 0 <= r < m for r in sel):
         raise SectorError(f"root indices {sel} outside [0, {m})")
-    if m > TRANSFER_M_CAP:  # before the basis lists its C(m, p) subsets
-        raise TooLargeError(f"m={m} exceeds Bethe eigenpair cap {TRANSFER_M_CAP}")
+    _check_count_size(m)  # before the basis lists its C(m, p) subsets
     lam = complementary_eigenvalue(m, p, sel, b, c)
     amplitudes = tuple(map(complex, _amplitudes(m, p, sel)))
     return BetheVector(m, p, sel, _block_basis(m, p), amplitudes), lam
@@ -298,16 +289,52 @@ def _in_range(what: str, compute: Callable[[], float]) -> float:
     return value
 
 
+def _half_angle_product(m: int, x: int, trig: Callable[[float], float]) -> float:
+    """prod (2 trig(pi j / (2m)))^2 over j = 1 + x%2, 3 + x%2, .. < x.
+
+    Every factor is positive and finite, so the loop stops at a product of 0 or inf.
+    """
+    prod = 1.0
+    for j in range(1 + x % 2, x, 2):  # (2 t) ** 2 keeps rho's bits; 4 * t ** 2 rounds apart
+        prod *= (2 * trig(math.pi * j / (2 * m))) ** 2
+        if not 0.0 < prod < math.inf:
+            break
+    return prod
+
+
 def lambda_max_sector(m: int, p: int) -> float:
     """Largest eigenvalue of sector p at b = c = 1: with e = p mod 2,
     (m if e else 2) / prod 4 sin^2(pi j / (2m)) over j = 1+e, 3+e, .. < p.
 
-    TooLargeError when it leaves the float range or its denominator
-    underflows to 0.
+    Each factor is 2 - t_j in half-angle form, which keeps the digits that
+    2 - 2 cos(pi j / m) loses at small j.  TooLargeError when the result
+    leaves the float range or its denominator underflows to 0.
     """
     _check_sector(m, p)
-    denom = math.prod(4 * math.sin(math.pi * j / (2 * m)) ** 2 for j in range(1 + p % 2, p, 2))
+    denom = _half_angle_product(m, p, math.sin)
     return _in_range(f"result for m={m}", lambda: (m if p % 2 else 2.0) / denom)
+
+
+def eigenterm(m: int, n: int) -> float:
+    """The walker base 2^n prod_{j=1..n} cos( pi (j - (n+1)/2) / m ): factors j and
+    n+1-j are equal, so it is a product of squares, times 2 for odd n."""
+    if type(n) is not int or not 0 <= n <= m:
+        raise SectorError(f"walker number n={n} outside [0, {m}]")
+    return (2.0 if n % 2 else 1.0) * _half_angle_product(m, n, math.cos)
+
+
+def _crosscheck(m: int, n: int) -> tuple[float, float, float]:
+    """(eigenterm(m, n), lambda_max_sector(m, m - n), their relative gap).
+
+    FormulaMismatchError when the gap exceeds CROSSCHECK_TOL, NaN included.
+    """
+    term = _in_range(f"result for m={m}", lambda: eigenterm(m, n))
+    lam = lambda_max_sector(m, m - n)
+    gap = abs(term - lam) / lam
+    if not gap <= CROSSCHECK_TOL:
+        raise FormulaMismatchError(
+            f"m={m}, n={n}: eigenterm {term!r} vs lambda_max {lam!r} (rel {gap:.2e})")
+    return term, lam, gap
 
 
 def p_zero(m: int) -> int:
@@ -322,23 +349,11 @@ def n_zero(m: int) -> int:
 
 
 def growth_constant(m: int) -> float:
-    """rho(m), by the cosine product, cross-checked against lambda_max of p0.
+    """rho(m) = eigenterm(m, n0), cross-checked against lambda_max of p0.
 
-    Raises FormulaMismatchError if the two routes disagree beyond 1e-12
-    relative, NaN included; never silently prefers one.  From m = 2198
-    rho(m) leaves the float range and TooLargeError is raised.
+    From m = 2198 rho(m) leaves the float range and TooLargeError is raised.
     """
-    prod = 1.0
-    for j in range(1, n_zero(m) // 2 + 1):
-        prod *= (2 * math.cos(math.pi * (2 * j - 1) / (2 * m))) ** 2
-        if prod == math.inf:  # every factor is >= 1, so inf is final
-            break
-    _in_range(f"result for m={m}", lambda: prod)
-    lam = lambda_max_sector(m, p_zero(m))
-    if not abs(prod - lam) <= CROSSCHECK_TOL * abs(lam):
-        raise FormulaMismatchError(
-            f"rho({m}): product form {prod!r} vs sector maximum {lam!r}")
-    return prod
+    return _crosscheck(m, n_zero(m))[0]
 
 
 def top_selection(m: int, p: int) -> tuple[int, ...]:

@@ -21,8 +21,8 @@ import sys
 from . import bethe, entropy, paths, render, transfer, validate
 from .errors import BarrelError, StructuralViolationError, TooLargeError
 from .graph import (
-    BRUTE_VERTEX_CAP,
     BarrelParams,
+    _check_brute_cap,
     build_graph,
     count_matchings_brute,
     enumerate_matchings,
@@ -87,9 +87,7 @@ def cmd_count(args) -> int:
             counts[method] = transfer.count_matchings_transfer(args.m, args.k)
         elif method == "brute":
             params = BarrelParams(args.m, args.k)
-            if params.n_vertices > BRUTE_VERTEX_CAP:  # before the graph is built
-                raise TooLargeError(f"{params.n_vertices} vertices exceeds brute-force cap "
-                                    f"{BRUTE_VERTEX_CAP}")
+            _check_brute_cap(params.n_vertices)  # before the graph is built
             counts[method] = count_matchings_brute(build_graph(params))
         elif method == "paths":
             counts[method] = paths.total_via_paths(args.m, args.k)

@@ -243,27 +243,27 @@ def edge_block(params: BarrelParams, kind: str, layer: int) -> range:
 # structural validation by planar face walk
 # ---------------------------------------------------------------------------
 
-def _vertex_positions(params: BarrelParams) -> list[tuple[float, float]]:
-    """Concentric-circle plane embedding: left cap innermost, right cap outermost.
+def _vertex_cell(params: BarrelParams, v: int) -> tuple[int, int]:
+    """(column, height) of vertex v on the unrolled cylinder, heights in half slots:
+    u_l is (0, 2l), w_{j,i} is (j, i) and u'_l is (k+2, 2l+1)."""
+    m = params.m
+    if v < m:
+        return 0, 2 * v
+    j, i = divmod(v - m, 2 * m)
+    return (j + 1, i) if j <= params.k else (j + 1, 2 * i + 1)
 
-    u_l sits at the angle of its partner w_{1,2l} and u'_l at the angle of
-    w_{k+1,2l+1}, so all horizontal edges are (near-)radial and the
-    straight-line drawing is crossing-free.
+
+def _vertex_positions(params: BarrelParams) -> list[tuple[float, float]]:
+    """Concentric-circle plane embedding: cell (c, h) at radius 1 + c, angle h pi / m.
+
+    Every horizontal edge joins cells of (near-)equal height, so it is
+    (near-)radial and the straight-line drawing is crossing-free.
     """
-    m, k = params.m, params.k
+    step = math.pi / params.m  # angle between consecutive big-cycle positions
     pos: list[tuple[float, float]] = []
-    step = math.pi / m  # angle between consecutive big-cycle positions
-    for l in range(m):
-        a = step * (2 * l)
-        pos.append((math.cos(a), math.sin(a)))
-    for j in range(1, k + 2):
-        r = 1.0 + j
-        for i in range(2 * m):
-            a = step * i
-            pos.append((r * math.cos(a), r * math.sin(a)))
-    r = 3.0 + k
-    for l in range(m):
-        a = step * (2 * l + 1)
+    for v in range(params.n_vertices):
+        column, height = _vertex_cell(params, v)
+        r, a = 1.0 + column, step * height
         pos.append((r * math.cos(a), r * math.sin(a)))
     return pos
 
@@ -342,6 +342,11 @@ def validate_structure(g: BarrelGraph) -> FaceCensusReport:
 # exact enumeration by backtracking
 # ---------------------------------------------------------------------------
 
+def _check_brute_cap(n_vertices: int) -> None:
+    if n_vertices > BRUTE_VERTEX_CAP:
+        raise TooLargeError(f"{n_vertices} vertices exceeds brute-force cap {BRUTE_VERTEX_CAP}")
+
+
 def count_matchings_brute(g: BarrelGraph) -> int:
     """Count perfect matchings by backtracking on the lowest uncovered vertex.
 
@@ -349,8 +354,7 @@ def count_matchings_brute(g: BarrelGraph) -> int:
     the search tree grows exponentially.
     """
     n = g.n_vertices
-    if n > BRUTE_VERTEX_CAP:
-        raise TooLargeError(f"{n} vertices exceeds brute-force cap {BRUTE_VERTEX_CAP}")
+    _check_brute_cap(n)
     adjacency = g.adjacency
     covered = bytearray(n)
 
@@ -527,12 +531,15 @@ def parse_edge_list(text: str) -> BarrelGraph:
         seen_edges[key] = kind
         for lab in (ulab, vlab):
             fields = lab.split(":")
-            if fields[0] == "L" and len(fields) == 2:
-                left.add(int(fields[1]))
-            elif fields[0] == "C" and len(fields) == 3:
-                layers.add(int(fields[1]))
-            elif not (fields[0] == "R" and len(fields) == 2):
-                raise UnknownFormatError(f"line {line_no}: bad vertex label {lab!r}")
+            try:
+                if fields[0] == "L" and len(fields) == 2:
+                    left.add(int(fields[1]))
+                elif fields[0] == "C" and len(fields) == 3:
+                    layers.add(int(fields[1]))
+                elif not (fields[0] == "R" and len(fields) == 2):
+                    raise ValueError(lab)
+            except ValueError:  # a wrong shape, or a number int() refuses
+                raise UnknownFormatError(f"line {line_no}: bad vertex label {lab!r}") from None
 
     if not left or not layers:
         raise UnknownFormatError("edge list lacks cap or cycle vertices")

@@ -29,7 +29,7 @@ walker coordinates eta_j = site/2 at time 0 and lambda_j at time k+1,
       * prod_{h<t} sin( pi (eta_h - eta_t) / m ) |sin( pi (lambda_h - lambda_t) / m )|
 
 summed over the n cyclic shift classes of the end configuration.  The
-eigenvalue base equals the sector maximum lambda_max(m - n) exactly.
+eigenvalue base, bethe.eigenterm, equals the sector maximum lambda_max(m - n).
 Each sine product sees only pairwise distances mod m, which the drift and
 the shifts keep, so every shift class gives the same term, and summed over
 start and end boundaries B with n walkers the estimate is a square:
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bethe import _in_range, lambda_max_sector, n_zero
+from .bethe import _crosscheck, _in_range, eigenterm, n_zero
 from .errors import (
     FormulaMismatchError,
     InvalidParamsError,
@@ -62,7 +62,6 @@ from .graph import (
 )
 from .transfer import _check_boundary_cap, boundary_vector
 
-LEADING_TOL = 1e-12
 # Each walker step visits up to 2^m slot masks with integers of ~k log2 rho
 # bits; total_via_paths(12, 500) takes 2 s on 2 cores, (16, 40) 7 s.
 # The m cap is the DP's own, apart from the transfer cap: (14, 100) takes 7.6 s.
@@ -311,16 +310,6 @@ def _sine_product(m: int, coords: Sequence[float]) -> float:
     return out
 
 
-def eigenterm(m: int, n: int) -> float:
-    """The walker eigenvalue base 2^n prod_j cos( pi (j - (n+1)/2) / m )."""
-    if not 0 <= n <= m:
-        raise SectorError(f"walker number n={n} outside [0, {m}]")
-    val = 1.0
-    for j in range(1, n + 1):
-        val *= 2 * math.cos(math.pi * (j - (n + 1) / 2) / m)
-    return val
-
-
 @dataclass(frozen=True)
 class AggregateEstimate:
     m: int
@@ -369,20 +358,16 @@ class LeadingReport:
 def leading_n_consistency(m: int) -> LeadingReport:
     """Check eigenterm(n) = lambda_max(m - n) for every even n, maximized at n0.
 
-    Raises FormulaMismatchError on any relative gap above LEADING_TOL or
-    if the maximizing walker number is not n_zero(m).
+    Each n goes through bethe's _crosscheck, which raises FormulaMismatchError
+    on a relative gap above CROSSCHECK_TOL (NaN included); so does a
+    maximizing walker number other than n_zero(m).
     """
     BarrelParams(m, 0)
     entries = []
     best_n, best_val = 0, float("-inf")
     for n in range(0, m + 1, 2):
-        term = eigenterm(m, n)
-        lam = lambda_max_sector(m, m - n)
-        rel = abs(term - lam) / abs(lam)
-        if rel > LEADING_TOL:
-            raise FormulaMismatchError(
-                f"m={m}, n={n}: eigenterm {term!r} vs lambda_max {lam!r} (rel {rel:.2e})")
-        entries.append((n, term, lam, rel))
+        term, lam, gap = _crosscheck(m, n)
+        entries.append((n, term, lam, gap))
         if term > best_val:
             best_n, best_val = n, term
     if best_n != n_zero(m):

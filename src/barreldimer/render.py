@@ -10,13 +10,7 @@ one polyline per walker over a light copy of the tiling.
 from __future__ import annotations
 
 from .errors import InvalidParamsError
-from .graph import (
-    EDGE_HORIZONTAL,
-    EDGE_MGON,
-    BarrelGraph,
-    Matching,
-    matching_to_tiling,
-)
+from .graph import EDGE_HORIZONTAL, BarrelGraph, Matching, _vertex_cell, matching_to_tiling
 from .paths import matching_to_paths
 
 UNIT_X = 60.0
@@ -36,14 +30,13 @@ def _fmt(x: float) -> str:
 
 
 def _vertex_xy(g: BarrelGraph, v: int) -> tuple[float, float]:
-    m, k = g.m, g.k
-    if v < m:  # left cap u_l, aligned with w_{1,2l}
-        return 0.0, 2 * v * UNIT_Y
-    if v >= m + (k + 1) * 2 * m:  # right cap u'_l, aligned with w_{k+1,2l+1}
-        l = v - m - (k + 1) * 2 * m
-        return (k + 2) * UNIT_X, (2 * l + 1) * UNIT_Y
-    j, i = divmod(v - m, 2 * m)
-    return (j + 1) * UNIT_X, i * UNIT_Y
+    column, height = _vertex_cell(g.params, v)
+    return column * UNIT_X, height * UNIT_Y
+
+
+def _wraps(dy: float) -> bool:
+    """A wrapping edge spans at least 2m - 2 >= 4 half slots, any other at most 2."""
+    return abs(dy) > 3 * UNIT_Y
 
 
 def _svg(g: BarrelGraph, body: list[str]) -> str:
@@ -63,13 +56,11 @@ def _edge_lines(g: BarrelGraph, eid: int, stroke: str, width: float) -> list[str
     """One <line> per edge, two stubs when the edge wraps around the circle."""
     e = g.edges[eid]
     (x1, y1), (x2, y2) = _vertex_xy(g, e.u), _vertex_xy(g, e.v)
+    wraps = _wraps(y2 - y1)
     x1, y1 = x1 + MARGIN, y1 + MARGIN
     x2, y2 = x2 + MARGIN, y2 + MARGIN
     style = f'stroke="{stroke}" stroke-width="{_fmt(width)}"'
     span = (2 * g.m - 1) * UNIT_Y
-    wraps = (e.kind != EDGE_HORIZONTAL) and (
-        (e.kind == EDGE_MGON and e.pos == g.m - 1) or
-        (e.kind != EDGE_MGON and e.pos == 2 * g.m - 1))
     if not wraps:
         return [f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>']
     stub = UNIT_Y * 0.8
@@ -105,7 +96,7 @@ def _rhombus_polygon(g: BarrelGraph, eid: int, kind: str) -> str:
     (x1, y1), (x2, y2) = _vertex_xy(g, e.u), _vertex_xy(g, e.v)
     cx, cy = (x1 + x2) / 2 + MARGIN, (y1 + y2) / 2 + MARGIN
     dx, dy = x2 - x1, y2 - y1
-    if abs(dy) > 3 * UNIT_Y:  # wrap-around edge: draw at the bottom stub
+    if _wraps(dy):  # draw at the bottom stub
         span = (2 * g.m - 1) * UNIT_Y
         cy = MARGIN + span + 0.5 * UNIT_Y
         dx, dy = 0.0, 2 * UNIT_Y

@@ -105,6 +105,13 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_sector(m: int, p: int) -> None:
+    """InvalidParamsError for a bad width; SectorError unless p is an int in [0, m]."""
+    BarrelParams(m, 0)
+    if type(p) is not int or not 0 <= p <= m:
+        raise SectorError(f"sector p={p} outside [0, {m}]")
+
+
 def _check_boundary_cap(m: int) -> None:
     """TooLargeError for m above BOUNDARY_M_CAP, where omega is not scanned."""
     if m > BOUNDARY_M_CAP:
@@ -207,9 +214,7 @@ def build_transfer(m: int, mode: str = "count", *,
     mode is kept for callers that pass "count" positionally; any other
     value raises InvalidParamsError.
     """
-    BarrelParams(m, 0)
-    if m > TRANSFER_M_CAP:
-        raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP} (2^m states)")
+    _check_count_size(m)
     if mode != "count":
         raise InvalidParamsError(f"unknown transfer mode {mode!r}")
     rows = tuple((s, _count_row(m, s)) for s in range(1 << m)
@@ -222,7 +227,7 @@ def build_transfer(m: int, mode: str = "count", *,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _classes(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _classes(m: int) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
     """Bracelet classes of the profiles |S| = m mod 2, numbered 0 .. C-1.
 
     A class is the orbit of a mask under rotation and under the reversal
@@ -231,7 +236,8 @@ def _classes(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     reps[c] the least mask of class c and sizes[c] its number of masks.
     Classes are numbered by ascending representative.  The reversal is
     taken once per class, from the elements of its representative; a 2^m
-    table of reversals would raise the peak memory of every count.
+    table of reversals would raise the peak memory of every count, and so
+    would a tuple copy of canon, which callers only read.
     """
     full = (1 << m) - 1
     canon = [-1] * (1 << m)
@@ -250,7 +256,7 @@ def _classes(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
                 x = (x << 1 | x >> (m - 1)) & full
         reps.append(mask)
         sizes.append(size)
-    return tuple(canon), tuple(reps), tuple(sizes)
+    return canon, tuple(reps), tuple(sizes)
 
 
 def _class_row(m: int,
@@ -297,12 +303,12 @@ def _class_power(m: int, k: int, omega: Mapping[int, int], p: int | None = None,
     return total, vecs
 
 
-def _check_count_size(m: int, k: int) -> None:
-    BarrelParams(m, k)  # validate
-    if m > TRANSFER_M_CAP:
-        raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
-    if k > TRANSFER_K_CAP:
-        raise TooLargeError(f"k={k} exceeds transfer cap {TRANSFER_K_CAP}")
+def _check_count_size(m: int, k: int = 0) -> None:
+    """Validate (m, k); TooLargeError for m or k above its transfer cap."""
+    BarrelParams(m, k)
+    for name, value, cap in (("m", m, TRANSFER_M_CAP), ("k", k, TRANSFER_K_CAP)):
+        if value > cap:
+            raise TooLargeError(f"{name}={value} exceeds transfer cap {cap}")
 
 
 def count_matchings_transfer(m: int, k: int) -> int:
@@ -318,8 +324,7 @@ def sector_count(m: int, k: int, p: int) -> int:
     p = m mod 2, m mod 2 + 2, .., m.
     """
     _check_count_size(m, k)
-    if not 0 <= p <= m:
-        raise SectorError(f"sector p={p} outside [0, {m}]")
+    _check_sector(m, p)
     if p % 2 != m % 2:
         raise SectorError(f"sector p={p} has wrong parity for m={m}")
     return _class_power(m, k, boundary_vector(m), p)[0]
@@ -471,8 +476,7 @@ class UniformSampler:
 
     def __init__(self, m: int, k: int):
         params = BarrelParams(m, k)
-        if m > TRANSFER_M_CAP:
-            raise TooLargeError(f"m={m} exceeds transfer cap {TRANSFER_M_CAP}")
+        _check_count_size(m)  # k is bounded by SAMPLER_BYTES_CAP instead
         kept = _kept_bytes(m, k)
         if kept > SAMPLER_BYTES_CAP:
             raise TooLargeError(

@@ -325,6 +325,50 @@ def test_growth_constant_stops_at_the_first_inf(monkeypatch):
         bethe.growth_constant(10**12)
 
 
+def test_growth_constant_is_the_walker_base_at_n0():
+    """One product: growth and asymptotic --aggregate print the same rho(m)."""
+    for m in range(3, 2198):
+        assert bethe.growth_constant(m) == bethe.eigenterm(m, bethe.n_zero(m)), m
+
+
+@pytest.mark.parametrize("check", [bethe.growth_constant, paths.leading_n_consistency])
+@pytest.mark.parametrize("skew", [lambda lam: lam * (1 + 1e-9), lambda lam: math.nan],
+                         ids=["1e-9", "nan"])
+def test_route_disagreement_raises(monkeypatch, check, skew):
+    """Both callers compare the two routes in one place, which refuses a NaN too."""
+    real = bethe.lambda_max_sector
+    monkeypatch.setattr(bethe, "lambda_max_sector", lambda m, p: skew(real(m, p)))
+    with pytest.raises(errors.FormulaMismatchError):
+        check(7)
+
+
+def test_lambda_max_stops_at_the_first_zero(monkeypatch):
+    """Every sine factor is positive, so the product stops once it underflows to 0."""
+    real, calls = math.sin, [0]
+
+    def counted(x):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise AssertionError("sine product kept going after 0")
+        return real(x)
+
+    monkeypatch.setattr(math, "sin", counted)
+    with pytest.raises(errors.TooLargeError, match="float range"):
+        bethe.lambda_max_sector(10**12, 10**11)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bethe.lambda_max_sector(4, 2.5),
+    lambda: bethe.eigenterm(4, 2.5),
+    lambda: bethe.bethe_eigenpair(4, 1, (1.5,)),
+    lambda: bethe.bethe_eigenpair(4, 1, (True,)),
+    lambda: transfer.sector_count(4, 2, 2.0),
+], ids=["lambda_max_sector", "eigenterm", "eigenpair-float", "eigenpair-bool", "sector_count"])
+def test_an_index_that_is_not_an_int_is_a_sector_error(call):
+    with pytest.raises(errors.SectorError):
+        call()
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 def test_dominant_sector_is_p_zero(m):
     p0 = bethe.p_zero(m)

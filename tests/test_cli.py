@@ -638,6 +638,18 @@ def test_render_enumerates_at_the_vertex_cap(tmp_path):
     assert svg_counts(out.read_text())["polyline"] >= 2
 
 
+@pytest.mark.parametrize("view,digest", [
+    (["graph"], "14304e9b0ba59fb36418c05075e2c721bbd01f1aa8bfa80fe8cc11a81e23b221"),
+    (["tiling", "--seed", "3"], "4e2c0e1672352001f6ed7c0469ce3e20c92a41519a87212d3ad810480fafd357"),
+    (["paths", "--index", "1"], "e7ba371366368ff5a3d55d93632e7b877146f797cb8ae11361eb2d6d520e1ee2"),
+])
+def test_render_bytes_are_pinned(tmp_path, view, digest):
+    """The vertex grid and the wrap rule of F(4, 2), drawn three ways."""
+    out = tmp_path / "r.svg"
+    assert cli.main(["render", "--m", "4", "--k", "2", "--what", *view, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_render_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
     for out in (out1, out2):

@@ -130,6 +130,18 @@ def test_face_census(m, k, census):
     assert report.hexagons == m * k
 
 
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("k", range(4))
+def test_vertex_cell_is_the_cell_its_label_names(m, k):
+    """L:l is (0, 2l), C:j:i is (j, i) and R:l is (k+2, 2l+1), heights in half slots."""
+    g = barrel(m, k)
+    for v, label in enumerate(g.labels):
+        kind, *nums = label.split(":")
+        want = {"L": lambda l: (0, 2 * l), "C": lambda j, i: (j, i),
+                "R": lambda l: (k + 2, 2 * l + 1)}[kind](*map(int, nums))
+        assert graph._vertex_cell(g.params, v) == want, label
+
+
 def test_face_census_counts_m_gons():
     report = graph.validate_structure(barrel(7, 1))
     assert report.m_gons == 2
@@ -323,6 +335,13 @@ def test_parse_counts_the_edges_before_building_the_graph(monkeypatch):
     monkeypatch.setattr(graph, "build_graph", boom)
     with pytest.raises(errors.StructuralViolationError):
         graph.parse_edge_list("L:9999 C:10000:0 horizontal")
+
+
+@pytest.mark.parametrize("text", ["L:x C:1:0 horizontal", "L:0 C:y:0 horizontal"])
+def test_parse_rejects_a_label_number_int_refuses(text):
+    """UnknownFormatError, which names the line, and not int()'s bare ValueError."""
+    with pytest.raises(errors.UnknownFormatError, match="line 1: bad vertex label"):
+        graph.parse_edge_list(text)
 
 
 def test_parse_rejects_tampered_edge_list():

@@ -285,7 +285,7 @@ def test_eigenterm_values():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 8, 13, 21, 64])
 def test_eigenterm_equals_sector_maximum(m):
-    for n in range(0, m + 1, 2):
+    for n in range(m + 1):
         assert paths.eigenterm(m, n) == pytest.approx(
             bethe.lambda_max_sector(m, m - n), rel=1e-12
         )

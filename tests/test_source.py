@@ -114,10 +114,12 @@ def test_every_module_constant_is_read():
 
 @pytest.mark.parametrize("literal", ["exceeds the float range", "m must be >= 3",
                                      "exceeds boundary scan cap", 'args.format == "json"',
-                                     '"</svg>"'])
+                                     '"</svg>"', "exceeds transfer cap",
+                                     "exceeds brute-force cap", "sector p={p} outside"])
 def test_each_guard_message_is_written_once(literal):
-    """The float-range guard, the width check, the boundary cap, the CLI's JSON
-    branch and the SVG frame each live in one function under src/."""
+    """The float-range guard, the width check, the boundary, transfer and
+    brute-force caps, the sector guard, the CLI's JSON branch and the SVG
+    frame each live in one function under src/."""
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     owners = [f"{name}:{node.name}" for name, text in texts.items()
               for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)

@@ -318,6 +318,7 @@ def lambda_max_sector(m: int, p: int) -> float:
 def eigenterm(m: int, n: int) -> float:
     """The walker base 2^n prod_{j=1..n} cos( pi (j - (n+1)/2) / m ): factors j and
     n+1-j are equal, so it is a product of squares, times 2 for odd n."""
+    BarrelParams(m, 0)
     if type(n) is not int or not 0 <= n <= m:
         raise SectorError(f"walker number n={n} outside [0, {m}]")
     return (2.0 if n % 2 else 1.0) * _half_angle_product(m, n, math.cos)

@@ -532,12 +532,13 @@ def parse_edge_list(text: str) -> BarrelGraph:
         for lab in (ulab, vlab):
             fields = lab.split(":")
             try:
-                if fields[0] == "L" and len(fields) == 2:
-                    left.add(int(fields[1]))
-                elif fields[0] == "C" and len(fields) == 3:
-                    layers.add(int(fields[1]))
-                elif not (fields[0] == "R" and len(fields) == 2):
+                if {"L": 2, "C": 3, "R": 2}.get(fields[0]) != len(fields):
                     raise ValueError(lab)
+                numbers = [int(f) for f in fields[1:]]
+                if fields[0] == "L":
+                    left.add(numbers[0])
+                elif fields[0] == "C":
+                    layers.add(numbers[0])
             except ValueError:  # a wrong shape, or a number int() refuses
                 raise UnknownFormatError(f"line {line_no}: bad vertex label {lab!r}") from None
 

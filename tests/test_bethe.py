@@ -369,6 +369,13 @@ def test_an_index_that_is_not_an_int_is_a_sector_error(call):
         call()
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (0, 0), (2.0, 0)])
+def test_eigenterm_rejects_a_bad_width(m, n):
+    """The width is checked before the walker number, as in lambda_max_sector."""
+    with pytest.raises(errors.InvalidParamsError):
+        bethe.eigenterm(m, n)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 def test_dominant_sector_is_p_zero(m):
     p0 = bethe.p_zero(m)

@@ -337,7 +337,8 @@ def test_parse_counts_the_edges_before_building_the_graph(monkeypatch):
         graph.parse_edge_list("L:9999 C:10000:0 horizontal")
 
 
-@pytest.mark.parametrize("text", ["L:x C:1:0 horizontal", "L:0 C:y:0 horizontal"])
+@pytest.mark.parametrize("text", ["L:x C:1:0 horizontal", "L:0 C:y:0 horizontal",
+                                  "L:0 C:1:y horizontal", "C:1:1 R:x horizontal"])
 def test_parse_rejects_a_label_number_int_refuses(text):
     """UnknownFormatError, which names the line, and not int()'s bare ValueError."""
     with pytest.raises(errors.UnknownFormatError, match="line 1: bad vertex label"):

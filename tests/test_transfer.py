@@ -463,3 +463,84 @@ def test_class_power_rereads_count_rows(monkeypatch):
 
     monkeypatch.setattr(transfer, "_count_row", corrupted)
     assert transfer.count_matchings_transfer(3, 2) != want
+
+
+# ---------------------------------------------------------------------------
+# Reflection lemma and the meet in the middle
+# ---------------------------------------------------------------------------
+
+
+def negate(m: int, mask: int) -> int:
+    """S -> {-l mod m : l in S}."""
+    return sum(1 << (-l % m) for l in transfer.mask_elements(mask))
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_count_rows_obey_the_reflection_lemma(m):
+    """entry(S, T) = entry(-T, -S) on every row of _count_row, every mask."""
+    rows = [dict(transfer._count_row(m, s)) for s in range(1 << m)]
+    for s, row in enumerate(rows):
+        for t, entry in row.items():
+            assert rows[negate(m, t)].get(negate(m, s)) == entry, (s, t)
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_class_operator_is_self_adjoint_for_orbit_sizes(m):
+    """|r| Q[r, c] = |c| Q[c, r] for every pair of bracelet classes."""
+    _, reps, sizes = transfer._classes(m)
+    q = [Counter(transfer._class_row(m, transfer._count_row(m, r))[1]) for r in reps]
+    for r, row in enumerate(q):
+        for c, value in row.items():
+            assert sizes[r] * value == sizes[c] * q[c][r], (r, c)
+
+
+def test_counts_run_half_the_steps_and_the_sampler_all(monkeypatch):
+    """k + 1 - (k+1)//2 matvecs for a count or a sector, k + 1 for the sampler."""
+    calls = []
+    real = transfer._apply_rows
+
+    def counted(rows, vec):
+        calls.append(1)
+        return real(rows, vec)
+
+    monkeypatch.setattr(transfer, "_apply_rows", counted)
+    for m, k in [(3, 0), (4, 1), (5, 4), (6, 7), (7, 10)]:
+        for run, want in [(lambda: transfer.count_matchings_transfer(m, k), k + 1 - (k + 1) // 2),
+                          (lambda: transfer.sector_count(m, k, m), k + 1 - (k + 1) // 2),
+                          (lambda: transfer.UniformSampler(m, k), k + 1)]:
+            calls.clear()
+            run()
+            assert len(calls) == want, (m, k)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_meet_in_the_middle_equals_the_full_contraction(m):
+    """Every sector p at k = 0..9 (h = 0 and both parities of k + 1): the halved
+    result, the full contraction of the kept vectors and the unreduced operator agree."""
+    op = transfer.build_transfer(m, parity_only=True)
+    omega = transfer.boundary_vector(m)
+    sizes = transfer._classes(m)[2]
+    iterates = [dict(omega)]
+    for _ in range(10):
+        iterates.append(op.apply(iterates[-1]))
+    for p in range(m % 2, m + 1, 2):
+        for k in range(10):
+            total = transfer._class_power(m, k, omega, p)[0]
+            _, vecs = transfer._class_power(m, k, omega, p, keep=True)
+            full = sum(w * size * x for w, size, x in zip(vecs[0], sizes, vecs[k + 1]))
+            unreduced = sum(w * iterates[k + 1].get(s, 0) for s, w in omega.items()
+                            if bin(s).count("1") == p)
+            assert total == full == unreduced, (p, k)
+
+
+def test_sampler_rejects_a_row_that_breaks_the_reflection(monkeypatch):
+    """One extra entry(001, 111) without entry(111, 001) makes the meet differ from the full sum."""
+    real = transfer._count_row
+
+    def corrupted(m, s_mask):
+        row = real(m, s_mask)
+        return (*row, (0b111, 1)) if (m, s_mask) == (3, 0b001) else row
+
+    monkeypatch.setattr(transfer, "_count_row", corrupted)
+    with pytest.raises(errors.StructuralViolationError, match="self-adjoint"):
+        transfer.UniformSampler(3, 4)

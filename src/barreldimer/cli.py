@@ -36,6 +36,8 @@ SAMPLE_IDS_CAP = 5_000_000
 # Most vertices `render` draws, sampled or not.  The SVG grows linearly
 # with the graph, by 0.2-0.3 kB per vertex.
 RENDER_VERTEX_CAP = 1_500
+# The count methods `count --method all` runs, in this order.
+COUNT_METHODS = ("transfer", "brute", "paths")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +82,7 @@ def _emit(args, obj: dict, lines: list[str]) -> None:
 
 
 def cmd_count(args) -> int:
-    methods = ["transfer", "brute", "paths"] if args.method == "all" else [args.method]
+    methods = COUNT_METHODS if args.method == "all" else [args.method]
     counts: dict[str, int] = {}
     for method in methods:
         if method == "transfer":
@@ -257,28 +259,29 @@ def _build_parser() -> _Parser:
         if k_required:
             p.add_argument("--k", type=int, required=True, help="hexagon rings (>= 0)")
 
+    def add_output(p, fn, formats=("json", "text"), default="json"):
+        """--format (none when formats is empty), --out and the handler, after
+        the subcommand's own arguments."""
+        if formats:
+            p.add_argument("--format", choices=formats, default=default)
+        p.add_argument("--out")
+        p.set_defaults(fn=fn)
+
     p = sub.add_parser("count", help="exact matching count by one or all methods")
     add_mk(p)
-    p.add_argument("--method", choices=["transfer", "brute", "paths", "all"],
-                   default="transfer")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_count)
+    p.add_argument("--method", choices=[*COUNT_METHODS, "all"], default="transfer")
+    add_output(p, cmd_count)
 
     p = sub.add_parser("growth", help="growth constant, dominant sector, entropy")
     add_mk(p, k_required=False)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_growth)
+    add_output(p, cmd_growth)
 
     p = sub.add_parser("spectrum", help="verified Bethe spectrum of one sector")
     add_mk(p, k_required=False)
     p.add_argument("--p", type=int, required=True, help="sector cardinality")
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_spectrum)
+    add_output(p, cmd_spectrum)
 
     p = sub.add_parser("asymptotic", help="walker-determinant estimates")
     add_mk(p)
@@ -290,23 +293,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_coordinates,
                    help="comma-separated end coordinates")
     p.add_argument("--s", type=int, default=0, help="shift class")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_asymptotic)
+    add_output(p, cmd_asymptotic)
 
     p = sub.add_parser("validate", help="run the self-validation criteria")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_validate)
+    add_output(p, cmd_validate, default="text")
 
     p = sub.add_parser("sample", help="exactly uniform random matchings")
     add_mk(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "text", "csv"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_sample)
+    add_output(p, cmd_sample, ("json", "text", "csv"), "text")
 
     p = sub.add_parser("render", help="SVG drawing of graph, tiling, or paths")
     add_mk(p)
@@ -315,8 +312,7 @@ def _build_parser() -> _Parser:
                    help="render a uniformly sampled matching")
     p.add_argument("--index", type=int, default=None,
                    help="render the i-th matching in enumeration order")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_render)
+    add_output(p, cmd_render, ())
 
     return parser
 

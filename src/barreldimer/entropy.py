@@ -79,8 +79,8 @@ def limit_entropy_series(terms: int = 10**6) -> float:
     -(1/2) sum_{n>=1} sin(2 pi n / 3) / n^2 equals the integral; the sine
     is sqrt(3)/2 times the pattern +1, -1, 0 for n = 1, 2, 0 mod 3.
     """
-    if terms < 1:
-        raise InvalidParamsError(f"terms must be >= 1, got {terms}")
+    if type(terms) is not int or terms < 1:
+        raise InvalidParamsError(f"terms must be an int >= 1, got {terms!r}")
     n = np.arange(1, terms + 1, dtype=float)
     sign = np.zeros(terms)
     sign[0::3] = 1.0   # n = 1 mod 3
@@ -117,8 +117,8 @@ def convergence_report(m_max: int = 60) -> EntropyReport:
     reported per residue class of m mod 3 (the global sequence is not
     monotone and m = 0 mod 3 approaches from above).
     """
-    if m_max < 10:
-        raise InvalidParamsError(f"m_max must be >= 10, got {m_max}")
+    if type(m_max) is not int or m_max < 10:
+        raise InvalidParamsError(f"m_max must be an int >= 10, got {m_max!r}")
     limit = limit_entropy_quadrature()
     rows = []
     for m in range(3, m_max + 1):

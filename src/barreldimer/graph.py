@@ -63,7 +63,7 @@ class BarrelParams:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not isinstance(self.k, int):
+        if type(self.m) is not int or type(self.k) is not int:
             raise InvalidParamsError(f"m and k must be integers, got {self.m!r}, {self.k!r}")
         if self.m < 3:
             raise InvalidParamsError(f"m must be >= 3, got {self.m}")

@@ -217,7 +217,7 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int]) -> i
     _check_size(m, k)
     start_slots, parity = _site_mask(m, start)
     end_slots, end_parity = _site_mask(m, end, parity + k + 1)
-    n_start, n_end = bin(start_slots).count("1"), bin(end_slots).count("1")
+    n_start, n_end = start_slots.bit_count(), end_slots.bit_count()
     if n_start != n_end:
         raise SizeMismatchError(f"start has {n_start} walkers, end {n_end}")
     if n_end and end_parity != (parity + k + 1) % 2:
@@ -277,8 +277,8 @@ def krattenthaler_estimate(m: int, k: int, eta: Sequence[float], lam: Sequence[f
         raise InvalidParamsError("estimate needs at least one walker")
     if len(lam) != n:
         raise SizeMismatchError(f"eta has {n} walkers, lam {len(lam)}")
-    if not 0 <= s < n:
-        raise InvalidParamsError(f"shift class s={s} outside [0, {n})")
+    if type(s) is not int or not 0 <= s < n:
+        raise InvalidParamsError(f"shift class s={s!r} outside [0, {n})")
     etas = _half_units(m, eta, "eta")
     lams = _half_units(m, lam, "lam")
     if any(etas[i] <= etas[i + 1] for i in range(n - 1)):

@@ -64,8 +64,10 @@ weight of a matching follows from S and T alone (see _count_row).  Vectors are p
 lists indexed by class, and a row is the tuple of the class indices
 canon[t], each t listed entry(r, t) times, so one matvec step is
 sum(map(vec.__getitem__, row)) per row: the additions run in C with no
-dict lookups.  The sampler keeps its suffix vectors on the classes too and
-scans its rows in the same form.
+dict lookups.  One generator, _class_vectors, yields Q^0 omega, Q^1 omega,
+.. on the classes, and _orbit_dot is the one orbit-size inner product: the
+counts pair Q^h omega with Q^(k+1-h) omega, and the sampler keeps the
+first k+2 vectors as its suffix weights and scans its rows in the same form.
 TransferOperator is the unreduced operator, kept as the reference the
 tests check the reduced kernel against; it runs on the same matvec.
 
@@ -80,7 +82,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidParamsError,
@@ -190,7 +192,7 @@ def _count_row(m: int, s_mask: int) -> tuple[tuple[int, int], ...]:
 
 def _has_parity(m: int, mask: int) -> bool:
     """Whether |S| = m mod 2, the only profiles a perfect matching can have."""
-    return bin(mask).count("1") % 2 == m % 2
+    return mask.bit_count() % 2 == m % 2
 
 
 def _listed(row: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -290,43 +292,47 @@ def _apply_rows(rows: Iterable[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return [sum(map(get, row)) for row in rows]
 
 
-def _class_power(m: int, k: int, omega: Mapping[int, int], p: int | None = None, *,
-                 keep: bool = False) -> tuple[int, list[list[int]]]:
+def _class_vectors(m: int, omega: Mapping[int, int],
+                   p: int | None = None) -> Iterator[list[int]]:
+    """The reduced vectors Q^j omega, j = 0, 1, .., on the classes of cardinality p (all if None).
+
+    Every vector A^j omega is constant on bracelet classes, so each comes as
+    a list indexed by class, and row r of Q is the class indices of
+    _class_row of _count_row(m, r) (empty outside sector p).  omega is
+    boundary_vector(m); the generator reads it into Q^0 omega and drops it
+    before the rows are built, so a count, which passes it in and keeps no
+    reference, holds only the rows and the vectors in its loop.  A vector is
+    computed only when it is asked for, so the first n vectors cost n - 1
+    matvecs.  Nothing caches the rows: they are rebuilt from _count_row on
+    every call.
+    """
+    reps = _classes(m)[1]
+    inside = [p is None or r.bit_count() == p for r in reps]
+    vec = [omega.get(r, 0) if ok else 0 for r, ok in zip(reps, inside)]
+    del omega
+    rows = [_class_row(m, _count_row(m, r))[1] if ok else () for r, ok in zip(reps, inside)]
+    while True:
+        yield vec
+        vec = _apply_rows(rows, vec)
+
+
+def _orbit_dot(m: int, x: Sequence[int], y: Sequence[int]) -> int:
+    """sum_c |orbit c| x_c y_c, the inner product for which Q is self-adjoint."""
+    return sum(size * a * b for size, a, b in zip(_classes(m)[2], x, y))
+
+
+def _class_power(m: int, k: int, p: int | None = None) -> int:
     """<omega| A^(k+1) |omega> summed over the classes of cardinality p (all if None).
 
-    Every vector A^j omega is constant on bracelet classes, so the loop runs
-    on lists indexed by class, with row r the class indices of _class_row
-    of _count_row(m, r) (empty outside sector p).  omega is
-    boundary_vector(m).  Q is self-adjoint for the orbit-size inner product
-    (module docstring), so with h = (k+1) // 2 the result meets in the
-    middle, sum_c |orbit c| (Q^h omega)_c (Q^(k+1-h) omega)_c: the loop
-    stops after k+1-h steps and keeps the one vector Q^h omega on the way.
-    Nothing caches the rows: they are rebuilt from _count_row on every
-    call.  With keep, the loop runs all k+1 steps, the reduced vectors
-    Q^j omega for j = 0 .. k+1 come back as well, and the meet is checked
-    against the full contraction sum_c omega_c |orbit c| (Q^(k+1) omega)_c;
-    a mismatch raises StructuralViolationError.
+    Q is self-adjoint for the orbit-size inner product (module docstring),
+    so with h = (k+1) // 2 the result meets in the middle, the _orbit_dot
+    of Q^h omega and Q^(k+1-h) omega.  k+1-h is h or h+1, so _class_vectors
+    runs k+1-h matvecs, and only Q^h omega and the current vector are kept.
     """
-    _, reps, sizes = _classes(m)
-    inside = [p is None or bin(r).count("1") == p for r in reps]
-    rows = [_class_row(m, _count_row(m, r))[1] if ok else () for r, ok in zip(reps, inside)]
-    start = [omega.get(r, 0) if ok else 0 for r, ok in zip(reps, inside)]
     h = (k + 1) // 2
-    steps = k + 1 if keep else k + 1 - h
-    vec = mid = start
-    vecs = [start] if keep else []
-    for j in range(1, steps + 1):
-        vec = _apply_rows(rows, vec)
-        if j == h:
-            mid = vec
-        if keep:
-            vecs.append(vec)
-    far = vecs[k + 1 - h] if keep else vec
-    total = sum(size * x * y for size, x, y in zip(sizes, mid, far))
-    if keep and total != sum(w * size * x for w, size, x in zip(start, sizes, vec)):
-        raise StructuralViolationError(
-            f"Q is not self-adjoint on the classes of m={m}: meet != full contraction")
-    return total, vecs
+    vecs = _class_vectors(m, boundary_vector(m), p)
+    mid = next(itertools.islice(vecs, h, None))
+    return _orbit_dot(m, mid, next(vecs) if (k + 1) % 2 else mid)
 
 
 def _check_count_size(m: int, k: int = 0) -> None:
@@ -340,7 +346,7 @@ def _check_count_size(m: int, k: int = 0) -> None:
 def count_matchings_transfer(m: int, k: int) -> int:
     """Phi(F(m, k)) = <omega| A^(k+1) |omega>, exact."""
     _check_count_size(m, k)
-    return _class_power(m, k, boundary_vector(m))[0]
+    return _class_power(m, k)
 
 
 def sector_count(m: int, k: int, p: int) -> int:
@@ -353,7 +359,7 @@ def sector_count(m: int, k: int, p: int) -> int:
     _check_sector(m, p)
     if p % 2 != m % 2:
         raise SectorError(f"sector p={p} has wrong parity for m={m}")
-    return _class_power(m, k, boundary_vector(m), p)[0]
+    return _class_power(m, k, p)
 
 
 def _second_order(a: int, b: int, x0: int, x1: int, k: int) -> int:
@@ -412,7 +418,7 @@ def _subset_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _down_slots(m: int, a: int, b: int) -> int:
+def _down_slots(m: int, a: int, b: int, coin: int) -> int:
     """Slots i whose down edge (2i+1, 2i+2) the big cycle between S_(j-1) = a and S_j = b matches.
 
     The cycle loses the evens {2l : l in a} and the odds {2l+1 : l in b},
@@ -421,9 +427,11 @@ def _down_slots(m: int, a: int, b: int) -> int:
     after the odds are matched by up edges.  With b's lowest slot moved up
     by m when it lies below a's (that b closes the wrapping arc), the
     difference b - a has exactly these runs of bits set, and folding bit
-    m + i onto bit i undoes the wrap.  The intact cycle (a = b = 0) is left
-    to the caller, which picks all or none of the slots.
+    m + i onto bit i undoes the wrap.  The intact cycle (a = b = 0) takes
+    all of its down edges for coin 1 and none for coin 0.
     """
+    if not a:
+        return (1 << m) - 1 if coin else 0
     low = b & -b
     if low < a & -a:
         b += (low << m) - low
@@ -470,35 +478,40 @@ def _kept_bytes(m: int, k: int) -> int:
 class UniformSampler:
     """Exact uniform sampler over perfect matchings of F(m, k).
 
-    Precomputes the suffix weights W_j = A^(k+1-j) omega, kept once per
-    bracelet class as lists indexed by class since W_j is invariant under
-    rotation and reversal (see the module docstring), then draws the
-    profile layer by layer with conditional probabilities proportional to
-    exact integer completion counts, finally filling the forced cycle and
-    cap matchings (the only free choices are the 2-way alternations at
-    empty layers of even m).
-    Since W_{j-1} = A W_j, the weight of every choice is already stored,
-    W_{j-1}[S_{j-1}] (total for the first layer), and each layer scans its
-    row against it only up to the hit.  The rows are the (targets, classes)
-    pairs of _class_row for _count_row(m, S), built the first time a draw
-    reaches S and kept by the sampler; the first layer's row lists omega
-    the same way.  Draws walk the actual masks of each row, and the
-    class of T only looks up W_j(T), so the choice of classes moves no
-    weight and no sampled byte.
-    The chosen position gives both the next mask and its class.
+    Precomputes the suffix weights W_j = A^(k+1-j) omega, the first k+2
+    vectors of _class_vectors reversed in place, kept once per bracelet
+    class as lists indexed by class since W_j is invariant under rotation
+    and reversal (see the module docstring).  total is the meet of
+    _class_power, read off the kept vectors, and is checked against the
+    full contraction, the _orbit_dot of omega and Q^(k+1) omega.  A draw
+    picks the profile layer by layer with conditional probabilities
+    proportional to exact integer completion counts, then fills the forced
+    cycle and cap matchings (the only free choices are the 2-way
+    alternations at empty layers of even m).
+    Since W_{j-1} = A W_j, the weight of every choice is already stored:
+    one loop body draws all k+2 layers, layer j scanning the row of S_(j-1)
+    against W_j only up to the hit, with W_{j-1}[S_{j-1}] as its total.
+    The row before layer 0 lists omega, with weight total.  The rows are
+    the (targets, classes) pairs of _class_row for _count_row(m, S), built
+    the first time a draw reaches S and kept by the sampler; omega's row
+    is rows[-1].  Draws walk the actual masks of each row, and the class of
+    T only looks up W_j(T), so the choice of classes moves no weight and no
+    sampled byte.  The chosen position gives both the next mask and its
+    class.
 
     The fill works on slot masks.  Between a = S_(j-1) and b = S_j, big
-    cycle j matches the down edges of D = _down_slots(m, a, b) (the cyclic
-    runs from each slot of a up to the next slot of b), the horizontal
-    edges of b, and the up edges of every other slot; the intact cycle
-    takes D = I_m or D = 0 by one coin.  The ids of a mask are read off
-    per-layer tuples of edge_block's ids, built once per sampler, so all
-    draws share the same int objects.  Each cap matches the edges of
+    cycle j matches the down edges of D = _down_slots(m, a, b, coin) (the
+    cyclic runs from each slot of a up to the next slot of b), the
+    horizontal edges of b, and the up edges of every other slot; the coin
+    is drawn for the intact cycle only, which takes D = I_m or D = 0 by it.
+    The ids of a mask are read off per-layer tuples of edge_block's ids,
+    built once per sampler, so all draws share the same int objects.  Each cap matches the edges of
     _cap_slots around its end profile, the intact cap by one more coin.
     The coins are drawn in the order left cap, right cap, then the big
     cycles.  Construction raises TooLargeError when _kept_bytes(m, k)
     exceeds SAMPLER_BYTES_CAP, and StructuralViolationError when the kept
-    vectors break the reflection lemma (see _class_power).
+    vectors break the reflection lemma (the meet differs from the full
+    contraction).
     """
 
     def __init__(self, m: int, k: int):
@@ -511,9 +524,15 @@ class UniformSampler:
                 f"of suffix weights, over the cap of {SAMPLER_BYTES_CAP >> 20} MiB")
         self.m, self.k = m, k
         omega = boundary_vector(m)
-        self._omega_row = _class_row(m, sorted(omega.items()))
+        # rows[S] for the masks S as the draws reach them; rows[-1] is omega's
         self._rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * (1 << m)
-        self.total, suffix = _class_power(m, k, omega, keep=True)
+        self._rows.append(_class_row(m, omega.items()))
+        suffix = list(itertools.islice(_class_vectors(m, omega), k + 2))
+        h = (k + 1) // 2
+        self.total = _orbit_dot(m, suffix[h], suffix[k + 1 - h])
+        if self.total != _orbit_dot(m, suffix[0], suffix[k + 1]):
+            raise StructuralViolationError(
+                f"Q is not self-adjoint on the classes of m={m}: meet != full contraction")
         suffix.reverse()  # suffix[j] = W_j on bracelet classes, j = 0 .. k+1
         self._suffix = suffix
 
@@ -528,18 +547,14 @@ class UniformSampler:
     def draw(self, rng: random.Random) -> Matching:
         m, k = self.m, self.k
         rows = self._rows
-        suffix = self._suffix
-        targets, classes = self._omega_row
-        i = _prefix_choice(rng, self.total, classes, suffix[0])
-        s_mask, c = targets[i], classes[i]
-        profile = [s_mask]
-        for j in range(1, k + 2):
+        s_mask, total, profile = -1, self.total, []
+        for w in self._suffix:
             row = rows[s_mask]
             if row is None:
                 row = rows[s_mask] = _class_row(m, _count_row(m, s_mask))
             targets, classes = row
-            i = _prefix_choice(rng, suffix[j - 1][c], classes, suffix[j])
-            s_mask, c = targets[i], classes[i]
+            i = _prefix_choice(rng, total, classes, w)
+            s_mask, total = targets[i], w[classes[i]]
             profile.append(s_mask)
 
         elements = self._elements
@@ -552,10 +567,7 @@ class UniformSampler:
             fill(map(ids.__getitem__, elements[s_mask]))
         full = (1 << m) - 1
         for a, b, (up, down) in zip(profile, profile[1:], self._cycles):
-            if a:
-                d_mask = _down_slots(m, a, b)
-            else:
-                d_mask = full if rng.randrange(2) else 0
+            d_mask = _down_slots(m, a, b, rng.randrange(2) if not a else 0)
             fill(map(up.__getitem__, elements[full & ~(d_mask | b)]))
             fill(map(down.__getitem__, elements[d_mask]))
         matched = frozenset(edges)

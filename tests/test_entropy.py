@@ -61,6 +61,8 @@ def test_series_tail_bound(terms):
 def test_series_rejects_nonpositive_terms():
     with pytest.raises(errors.InvalidParamsError):
         entropy.limit_entropy_series(0)
+    with pytest.raises(errors.InvalidParamsError):
+        entropy.limit_entropy_series(10.5)
 
 
 def test_convergence_report_shape():
@@ -106,3 +108,5 @@ def test_report_csv_format():
 def test_report_rejects_tiny_range():
     with pytest.raises(errors.InvalidParamsError):
         entropy.convergence_report(5)
+    with pytest.raises(errors.InvalidParamsError):
+        entropy.convergence_report(20.5)

@@ -36,7 +36,7 @@ def test_rejects_negative_k(m, k):
         graph.BarrelParams(m, k)
 
 
-@pytest.mark.parametrize("m,k", [(3.5, 0), (3, 1.0), ("4", 0)])
+@pytest.mark.parametrize("m,k", [(3.5, 0), (3, 1.0), ("4", 0), (3, True)])
 def test_rejects_non_integer_params(m, k):
     with pytest.raises(errors.InvalidParamsError):
         graph.BarrelParams(m, k)

@@ -268,6 +268,9 @@ def test_krattenthaler_rejects_parity_violation():
 def test_krattenthaler_rejects_bad_shift():
     with pytest.raises(errors.InvalidParamsError):
         paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (1.0, 0.0), 5)
+    for s in (0.5, True):
+        with pytest.raises(errors.InvalidParamsError):
+            paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (1.0, 0.0), s)
     with pytest.raises(errors.OrderingViolationError):
         paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (0.0, 1.0), 0)
 

@@ -185,7 +185,7 @@ def test_bitmask_fill_matches_cycle_pairing(m):
     for a in range(1 << m):
         for b, _cnt in transfer._count_row(m, a):
             for choice in ((0, 1) if a == 0 else (0,)):
-                down = transfer._down_slots(m, a, b) if a else (full if choice else 0)
+                down = transfer._down_slots(m, a, b, choice)
                 assert _pairing_slots(m, a, b, choice) == (full & ~(down | b), down), (a, b)
 
 

@@ -182,48 +182,49 @@ class SectorSpectrum:
 
 @lru_cache(maxsize=64)
 def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
-                                                tuple[tuple[int, int], ...],
                                                 np.ndarray, np.ndarray]:
     """Everything the dense check needs of sector (m, p) besides the weights.
 
-    Returns ((row, col, monomial index) of every matching of every block
-    row, in _count_row order; the distinct monomials b^i c^j those indices
-    point at, as exponent pairs (i, j); the C(m, p) x C(m, p) amplitude
-    matrix, one row per selection in selections_for_sector order; omega
-    restricted to the basis).  The matching of T in row S != 0 weighs
-    c^d b^(m-p-d) with d = (sum T - sum S) mod m; the p = 0 entry lists
-    b^m, then c^m.  The arrays are read-only.
+    Returns ((row, col, exponent d) of every matching of every block row,
+    in _count_row order; the C(m, p) x C(m, p) amplitude matrix, one row
+    per selection in selections_for_sector order; omega restricted to the
+    basis).  The matching of T in row S != 0 weighs c^d b^(m-p-d) with
+    d = (sum T - sum S) mod m; the p = 0 entry lists d = 0 (b^m), then
+    d = m (c^m).  The arrays are read-only.
     """
     basis = _block_basis(m, p)
     index = {mask: i for i, mask in enumerate(basis)}
-    monos: dict[tuple[int, int], int] = {}
-    rows, cols, which = [], [], []
+    rows, cols, exps = [], [], []
     for i, mask in enumerate(basis):
         s_sum = sum(mask_elements(mask))
         for t_mask, _ in _count_row(m, mask):
             d = (sum(mask_elements(t_mask)) - s_sum) % m
-            for pair in ((m - p - d, d),) if mask else ((m, 0), (0, m)):
+            for e in (d,) if mask else (0, m):
                 rows.append(i)
                 cols.append(index[t_mask])
-                which.append(monos.setdefault(pair, len(monos)))
+                exps.append(e)
     omega = boundary_vector(m)
     # One det call per selection: a single call over the sector would free a
     # C(m, p)^2 p^2 stack (1.25 MB at m = 8, p = 4) and raise peak RSS by ~1 MB.
     arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-              np.array(which, dtype=np.intp),
+              np.array(exps, dtype=np.intp),
               np.array([_amplitudes(m, p, sel) for sel in selections_for_sector(m, p)]),
               np.array([omega.get(mask, 0) for mask in basis], dtype=float))
     for arr in arrays:
         arr.flags.writeable = False
-    return arrays[:3], tuple(monos), arrays[3], arrays[4]
+    return arrays[:3], arrays[3], arrays[4]
 
 
 def _dense_block(m: int, p: int, b: float, c: float) -> np.ndarray:
-    """B_p at weights (b, c); each distinct monomial is evaluated once, as a float."""
-    (rows, cols, which), monos, *_ = _block_structure(m, p)
-    values = np.array([b ** be * c ** ce for be, ce in monos], dtype=float)
+    """B_p at weights (b, c); b^(m-p-d) c^d is evaluated once per d = 0 .. m - p, as a float.
+
+    Every such d occurs when p >= 1; at p = 0 only the ends d = 0 and d = m
+    are read, and no d between them overflows where both ends do not.
+    """
+    (rows, cols, exps), *_ = _block_structure(m, p)
+    values = np.array([b ** (m - p - d) * c ** d for d in range(m - p + 1)], dtype=float)
     mat = np.zeros((math.comb(m, p), math.comb(m, p)))
-    np.add.at(mat, (rows, cols), values[which])
+    np.add.at(mat, (rows, cols), values[exps])
     return mat
 
 

@@ -48,14 +48,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_out(out: str | None, *parts: str) -> None:
-    if out is None:
-        sys.stdout.writelines(parts)
-    else:
-        try:
+    try:
+        if out is None:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        else:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(parts)
-        except OSError as exc:
-            raise BarrelError(f"cannot write {out}: {exc.strerror or exc}") from None
+    except OSError as exc:
+        raise BarrelError(f"cannot write {out or 'to stdout'}: {exc.strerror or exc}") from None
 
 
 def _check_out(out: str | None) -> None:
@@ -128,7 +129,7 @@ def cmd_spectrum(args) -> int:
     entries = []
     for e in spectrum.entries:
         entries.append({
-            "selection": list(e.selection),
+            "selection": e.selection,
             "roots": [[z.real, z.imag] for z in e.roots],
             "eigenvalue": [e.eigenvalue.real, e.eigenvalue.imag],
             "residual": e.residual,
@@ -214,7 +215,7 @@ def cmd_sample(args) -> int:
         _write_out(args.out, "".join(" ".join(map(str, ids)) + "\n" for ids in draws))
     else:
         _emit(args, {"m": args.m, "k": args.k, "seed": args.seed,
-                     "samples": [list(ids) for ids in draws]}, [])
+                     "samples": draws}, [])
     return EXIT_OK
 
 
@@ -318,6 +319,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7 limits int -> str
+        sys.set_int_max_str_digits(0)  # exact counts may have any number of digits
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "samples", None) is not None and args.samples < 0:

@@ -78,14 +78,16 @@ def limit_entropy_series(terms: int = 10**6) -> float:
 
     -(1/2) sum_{n>=1} sin(2 pi n / 3) / n^2 equals the integral; the sine
     is sqrt(3)/2 times the pattern +1, -1, 0 for n = 1, 2, 0 mod 3.
+    The terms are signed in place in the one array of 1/n^2 and summed
+    there: each term, and so the sum's bits, are those of sign / n^2.
     """
     if type(terms) is not int or terms < 1:
         raise InvalidParamsError(f"terms must be an int >= 1, got {terms!r}")
-    n = np.arange(1, terms + 1, dtype=float)
-    sign = np.zeros(terms)
-    sign[0::3] = 1.0   # n = 1 mod 3
-    sign[1::3] = -1.0  # n = 2 mod 3
-    partial = float(np.sum(sign / n**2)) * (math.sqrt(3) / 2)
+    # ** 2 is n * n and ** -1 is 1.0 / x; numpy reuses each temporary in place.
+    series = (np.arange(1, terms + 1, dtype=float) ** 2) ** -1
+    series[1::3] *= -1.0  # n = 2 mod 3
+    series[2::3] = 0.0  # n = 0 mod 3
+    partial = float(np.sum(series)) * (math.sqrt(3) / 2)
     return (3 / (4 * math.pi)) * partial
 
 

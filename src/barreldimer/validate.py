@@ -37,15 +37,27 @@ class CriterionResult:
     seconds: float
 
 
+def _first_mismatch(name: str, count, grid) -> str | None:
+    """Detail of the first (m, k) in grid where count differs from the transfer count."""
+    for m, k in grid:
+        lhs = count(m, k)
+        rhs = transfer.count_matchings_transfer(m, k)
+        if lhs != rhs:
+            return f"F({m},{k}): {name} {lhs} != transfer {rhs}"
+    return None
+
+
 def _check_closed_forms(fast: bool) -> tuple[bool, str]:
     k_max = 6 if fast else 20
-    for m in (3, 4, 5):
-        for k in range(k_max + 1):
-            lhs = transfer.closed_form_345(m, k)
-            rhs = transfer.count_matchings_transfer(m, k)
-            if lhs != rhs:
-                return False, f"F({m},{k}): closed form {lhs} != transfer {rhs}"
-    return True, f"closed form == transfer for m in 3..5, k in 0..{k_max}"
+    grid = [(m, k) for m in (3, 4, 5) for k in range(k_max + 1)]
+    failure = _first_mismatch("closed form", transfer.closed_form_345, grid)
+    return failure is None, failure or f"closed form == transfer for m in 3..5, k in 0..{k_max}"
+
+
+def _brute_count(m: int, k: int) -> int:
+    g = build_graph(BarrelParams(m, k))
+    validate_structure(g)
+    return count_matchings_brute(g)
 
 
 def _check_brute_vs_transfer(fast: bool) -> tuple[bool, str]:
@@ -53,58 +65,46 @@ def _check_brute_vs_transfer(fast: bool) -> tuple[bool, str]:
         grid = [(m, k) for m in (3, 4, 5) for k in (0, 1)] + [(3, 2)]
     else:
         grid = [(m, k) for m in (3, 4, 5, 6) for k in (0, 1, 2)] + [(3, 3), (4, 3)]
-    for m, k in grid:
-        g = build_graph(BarrelParams(m, k))
-        validate_structure(g)
-        lhs = count_matchings_brute(g)
-        rhs = transfer.count_matchings_transfer(m, k)
-        if lhs != rhs:
-            return False, f"F({m},{k}): brute {lhs} != transfer {rhs}"
-    return True, f"brute == transfer on {len(grid)} instances"
+    failure = _first_mismatch("brute", _brute_count, grid)
+    return failure is None, failure or f"brute == transfer on {len(grid)} instances"
 
 
 def _check_paths_vs_transfer(fast: bool) -> tuple[bool, str]:
     ms = (3, 4, 5) if fast else (3, 4, 5, 6)
     k_max = 2 if fast else 5
-    for m in ms:
-        for k in range(k_max + 1):
-            lhs = paths.total_via_paths(m, k)
-            rhs = transfer.count_matchings_transfer(m, k)
-            if lhs != rhs:
-                return False, f"F({m},{k}): paths {lhs} != transfer {rhs}"
-    return True, f"paths == transfer for m in {ms}, k in 0..{k_max}"
+    grid = [(m, k) for m in ms for k in range(k_max + 1)]
+    failure = _first_mismatch("paths", paths.total_via_paths, grid)
+    return failure is None, failure or f"paths == transfer for m in {ms}, k in 0..{k_max}"
+
+
+def _weight_draws(seed: int, m_max: int, draws: int):
+    """(m, p, b, c) for every sector of 3 <= m <= m_max, draws times each;
+    b, then c, uniform on [0.5, 2] from one seeded generator."""
+    rng = random.Random(seed)
+    for m in range(3, m_max + 1):
+        for p in range(0, m + 1):
+            for _ in range(draws):
+                yield m, p, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
 
 
 def _check_bethe_residuals(fast: bool) -> tuple[bool, str]:
     m_max = 5 if fast else 8
     draws = 2 if fast else 10
-    rng = random.Random(271828)
-    worst = 0.0
-    for m in range(3, m_max + 1):
-        for p in range(0, m + 1):
-            for _ in range(draws):
-                b = rng.uniform(0.5, 2.0)
-                c = rng.uniform(0.5, 2.0)
-                spectrum = bethe.verify_sector(m, p, b, c)  # raises on failure
-                worst = max(worst, spectrum.max_residual)
+    worst = max(bethe.verify_sector(*draw).max_residual  # raises on failure
+                for draw in _weight_draws(271828, m_max, draws))
     return True, f"all sectors m <= {m_max}, {draws} draws: max residual {worst:.2e}"
 
 
 def _check_roots_identity(fast: bool) -> tuple[bool, str]:
     m_max = 8 if fast else 20
     draws = 5 if fast else 20
-    rng = random.Random(314159)
     worst = 0.0
-    for m in range(3, m_max + 1):
-        for p in range(0, m + 1):
-            for _ in range(draws):
-                b = rng.uniform(0.5, 2.0)
-                c = rng.uniform(0.5, 2.0)
-                dev = bethe.roots_identity_check(m, p, b, c)
-                scale = abs(b) ** m + abs(c) ** m
-                if dev > 1e-9 * scale:
-                    return False, f"(m={m}, p={p}, b={b:.3f}, c={c:.3f}): deviation {dev:.2e}"
-                worst = max(worst, dev / scale)
+    for m, p, b, c in _weight_draws(314159, m_max, draws):
+        dev = bethe.roots_identity_check(m, p, b, c)
+        scale = abs(b) ** m + abs(c) ** m
+        if dev > 1e-9 * scale:
+            return False, f"(m={m}, p={p}, b={b:.3f}, c={c:.3f}): deviation {dev:.2e}"
+        worst = max(worst, dev / scale)
     return True, f"root product identity to {worst:.2e} relative, m <= {m_max}"
 
 

@@ -211,6 +211,19 @@ def test_stacked_amplitudes_equal_the_entry_loop(m):
             assert bethe.bethe_eigenpair(m, p, sel)[0].amplitudes == want, (p, sel)
 
 
+@pytest.mark.parametrize("m", range(3, 9))
+def test_block_exponents_cover_the_evaluated_range(m):
+    """_dense_block evaluates b^(m-p-d) c^d for d = 0 .. m - p: every such d is
+    read for p >= 1, and the p = 0 entry reads d = 0 (b^m), then d = m (c^m)."""
+    for p in range(m + 1):
+        (rows, cols, exps), *_ = bethe._block_structure(m, p)
+        assert len(rows) == len(cols) == len(exps)
+        if p:
+            assert set(exps.tolist()) == set(range(m - p + 1)), p
+        else:
+            assert exps.tolist() == [0, m]
+
+
 def test_block_structure_cache_is_bounded():
     assert bethe._block_structure.cache_info().maxsize is not None
 

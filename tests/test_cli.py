@@ -6,7 +6,9 @@ Exit-code contract: 0 success, 1 usage or invalid input, 2 validation failure
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -173,6 +175,37 @@ def test_count_counts_are_decimal_strings(tmp_path):
     doc = json.loads(out.read_text())
     val = doc["counts"]["transfer"]
     assert isinstance(val, str) and val.isdigit()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_count_prints_more_digits_than_the_int_str_limit(capsys, fmt):
+    """Phi(14, 400) has 788 decimal digits, above a digit limit of 640."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc = cli.main(["count", "--m", "14", "--k", "400", "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    want = str(transfer.count_matchings_transfer(14, 400))
+    assert rc == 0 and len(want) == 788
+    if fmt == "json":
+        assert json.loads(out)["counts"] == {"transfer": want}
+    else:
+        assert out == f"transfer: {want}\nagree: True\n"
+
+
+def test_failed_stdout_write_exits_one_without_a_traceback(monkeypatch, capsys):
+    class FullDevice(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    assert cli.main(["count", "--m", "3", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("argv, module, work", [

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -56,6 +58,33 @@ def test_series_tail_bound(terms):
     limit = entropy.limit_entropy_quadrature()
     err = abs(entropy.limit_entropy_series(terms) - limit)
     assert err <= 3.0 * math.sqrt(3.0) / (8.0 * math.pi * terms)
+
+
+def _series_by_sign_array(terms):
+    """The series as sign / n^2 over four terms-length arrays: the reference for the bits."""
+    n = np.arange(1, terms + 1, dtype=float)
+    sign = np.zeros(terms)
+    sign[0::3] = 1.0
+    sign[1::3] = -1.0
+    partial = float(np.sum(sign / n**2)) * (math.sqrt(3) / 2)
+    return (3 / (4 * math.pi)) * partial
+
+
+def test_series_keeps_the_bits_of_the_sign_array_sum():
+    for terms in [*range(1, 301), 10**5, 10**6]:
+        assert entropy.limit_entropy_series(terms).hex() == _series_by_sign_array(terms).hex(), terms
+
+
+def test_series_holds_at_most_two_term_arrays():
+    """At 10^6 terms one float array is 8 MB; the sign-array sum held four at once."""
+    terms = 10**6
+    tracemalloc.start()
+    try:
+        entropy.limit_entropy_series(terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * terms + 1_000_000
 
 
 def test_series_rejects_nonpositive_terms():

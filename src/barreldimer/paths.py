@@ -11,8 +11,14 @@ between layers move every walker one site up or down, no two walkers
 colliding.  The exact DP counts in the co-moving frame, where slot l
 holds the walker at site 2l + t: a walker stepping up keeps its slot,
 one stepping down takes slot l - 1 (mod m), and no two may share a slot.
-A state is an m-bit slot mask, and each step is generated from these
-moves alone, independently of the transfer operator's rows.
+Each step is generated from these moves alone, independently of the
+transfer operator's rows.  Rotating a slot mask rotates its moves, and
+the cap boundary below is rotation-invariant, so every vector of the
+total is constant on rotation classes (necklaces) of m-bit slot masks: a
+state of the total is a necklace, carried by its least mask and weighted
+by the sum over its orbit, and pushing that sum from the representative's
+moves is exact, with no division.  A fixed start, as in path_dp_count, is
+not rotation-invariant, so there a state is a plain slot mask.
 
 Cap completions enter as boundary multiplicities: an admissible start or
 end configuration is the complement of a cap-matchable subset, weighted
@@ -62,9 +68,10 @@ from .graph import (
 )
 from .transfer import _check_boundary_cap, boundary_vector
 
-# Each walker step visits up to 2^m slot masks with integers of ~k log2 rho
-# bits; total_via_paths(12, 500) takes 2 s on 2 cores, (16, 40) 7 s.
-# The m cap is the DP's own, apart from the transfer cap: (14, 100) takes 7.6 s.
+# Each walker step of the total visits about 2^m / m necklaces (4,116 at
+# m = 16) with integers of ~k log2 rho bits; on 2 cores under Python 3.11
+# total_via_paths(12, 500) takes 0.3 s, (16, 40) 0.6-0.7 s and (16, 500) 10-13 s.
+# The m cap is the DP's own, apart from the transfer cap: (14, 100) takes 0.3 s.
 PATHS_M_CAP = 16
 PATHS_K_CAP = 500
 
@@ -138,18 +145,25 @@ def admissible_boundaries(m: int) -> tuple[tuple[frozenset[int], int], ...]:
 # exact DP over walker moves
 # ---------------------------------------------------------------------------
 
+def _site_list(m: int, sites: Iterable[int]) -> list[int]:
+    """The sites as a list, each checked to be an int in [0, 2m) before any is compared."""
+    out = list(sites)
+    for s in out:
+        if type(s) is not int or not 0 <= s < 2 * m:
+            raise InvalidParamsError(f"site {s!r} is not an int in [0, {2 * m})")
+    return out
+
+
 def _site_mask(m: int, sites: Iterable[int], t: int = 0) -> tuple[int, int]:
     """Validate a parity-homogeneous site set read at time t; return (slots, parity).
 
     Slot l holds site 2l + t (mod 2m), or 2l + t + 1 when the sites have
     the other parity.
     """
-    sites = sorted(set(sites))
+    sites = sorted(set(_site_list(m, sites)))
     mask = 0
     parities = set()
     for s in sites:
-        if not isinstance(s, int) or not 0 <= s < 2 * m:
-            raise InvalidParamsError(f"site {s!r} outside [0, {2 * m})")
         parities.add(s % 2)
         mask |= 1 << ((s - t) % (2 * m) // 2)
     if len(parities) > 1:
@@ -184,15 +198,42 @@ def _moves(m: int, slots: int) -> tuple[int, ...]:
     return tuple(succ)
 
 
-def _walk(m: int, k: int, vec: dict[int, int]) -> dict[int, int]:
-    """Advance weighted slot masks k+1 steps, generating each state's moves once."""
+def _necklaces(m: int) -> list[int]:
+    """canon[S] is the least rotation of the m-bit slot mask S.
+
+    The ascending scan meets each orbit first at its least mask and walks
+    the orbit once from there, so the table costs O(2^m).  Reversal is not
+    folded in, unlike transfer's bracelet classes: walker moves do not
+    commute with it.
+    """
+    full = (1 << m) - 1
+    canon = [-1] * (1 << m)
+    for mask in range(1 << m):
+        x = mask
+        while canon[x] < 0:
+            canon[x] = mask
+            x = (x << 1 | x >> (m - 1)) & full
+    return canon
+
+
+def _walk(m: int, k: int, vec: dict[int, int], canon: list[int] | None = None) -> dict[int, int]:
+    """Advance weighted states k+1 steps, generating each state's moves once.
+
+    Without canon a state is a slot mask.  With canon = _necklaces(m) a state
+    is a necklace representative whose weight is its orbit total; its move
+    targets are mapped to their representatives when they are generated, so
+    a target class is counted once per move of the representative landing in it.
+    """
     succ: dict[int, tuple[int, ...]] = {}
     for _ in range(k + 1):
         out: dict[int, int] = {}
         for slots, weight in vec.items():
             targets = succ.get(slots)
             if targets is None:
-                targets = succ[slots] = _moves(m, slots)
+                targets = _moves(m, slots)
+                if canon is not None:
+                    targets = tuple(map(canon.__getitem__, targets))
+                succ[slots] = targets
             for t in targets:
                 out[t] = out.get(t, 0) + weight
         vec = out
@@ -228,11 +269,20 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int]) -> i
 def total_via_paths(m: int, k: int) -> int:
     """Phi(F(m, k)) as a boundary-weighted sum over all walker families.
 
-    In the co-moving frame the start and end boundaries share one slot vector.
+    In the co-moving frame the start and end boundaries share one slot
+    vector b.  The walk runs on necklaces: the start weight of a class is
+    its orbit total of b, and since the pushed vector v is constant on each
+    class c, Phi = sum_S b(S) v(S) = sum_c b(rep c) * (orbit total of v on c).
+    Only representatives are keys of the walked vector, so the final sum
+    over all of b reads each class once.
     """
     _check_size(m, k)
+    canon = _necklaces(m)
     boundary = {_site_mask(m, sites)[0]: mult for sites, mult in admissible_boundaries(m)}
-    vec = _walk(m, k, boundary)
+    vec: dict[int, int] = {}
+    for slots, mult in boundary.items():
+        vec[canon[slots]] = vec.get(canon[slots], 0) + mult
+    vec = _walk(m, k, vec, canon)
     return sum(mult * vec.get(slots, 0) for slots, mult in boundary.items())
 
 
@@ -383,8 +433,9 @@ def dp_estimate_ratio(m: int, k: int, start: Iterable[int], end_raw: Iterable[in
     both the DP and the estimate see it.  The n shift classes give equal
     terms, so the estimate is n times the s = 0 term.
     """
-    start = sorted(start)
-    end = sorted((s + k + 1) % (2 * m) for s in end_raw)
+    _check_size(m, k)
+    start = sorted(_site_list(m, start))
+    end = sorted((s + k + 1) % (2 * m) for s in _site_list(m, end_raw))
     exact = path_dp_count(m, k, start, end)
     etas = sorted((s / 2 for s in start), reverse=True)
     lams = sorted((s / 2 for s in end), reverse=True)

@@ -140,6 +140,17 @@ def test_dp_out_of_range_site_raises():
         paths.path_dp_count(4, 1, {0, 8}, {1, 3})
 
 
+@pytest.mark.parametrize("bad", [{True, 3}, {0, "a"}, {0, None}], ids=["bool", "str", "none"])
+@pytest.mark.parametrize("side", ["start", "end"])
+def test_non_int_sites_raise_before_sorting(bad, side):
+    """A bool is not read as a site and a non-number never reaches sorted()."""
+    start, end = (bad, {2, 4}) if side == "start" else ({2, 4}, bad)
+    with pytest.raises(errors.InvalidParamsError):
+        paths.path_dp_count(3, 0, start, end)
+    with pytest.raises(errors.InvalidParamsError):
+        paths.dp_estimate_ratio(3, 0, start, end)
+
+
 def test_dp_without_walkers_counts_one_family():
     assert paths.path_dp_count(4, 0, set(), set()) == 1
     assert paths.path_dp_count(4, 1, set(), set()) == 1
@@ -164,11 +175,65 @@ def test_walker_moves_equal_transfer_rows_on_complements(m):
 
 
 def test_total_via_paths_reads_no_transfer_rows(monkeypatch):
-    def unavailable(m, s_mask):
-        raise AssertionError("the walker DP read a transfer row")
+    def unavailable(*args):
+        raise AssertionError("the walker DP read a transfer row or class")
 
     monkeypatch.setattr(transfer, "_count_row", unavailable)
+    monkeypatch.setattr(transfer, "_classes", unavailable)
     assert paths.total_via_paths(5, 3) == transfer.closed_form_345(5, 3)
+
+
+def _rotate(m, mask, r):
+    full = (1 << m) - 1
+    return (mask << r | mask >> (m - r)) & full
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_walker_moves_commute_with_rotation(m):
+    """The moves of a rotated slot mask are the rotated moves, as multisets."""
+    for slots in range(1 << m):
+        got = Counter(paths._moves(m, _rotate(m, slots, 1)))
+        assert got == Counter(_rotate(m, t, 1) for t in paths._moves(m, slots)), slots
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_necklaces_are_least_rotations(m):
+    canon = paths._necklaces(m)
+    assert len(canon) == 1 << m
+    for slots, rep in enumerate(canon):
+        assert canon[rep] == rep
+        assert rep == min(_rotate(m, slots, r) for r in range(m)), slots
+    classes = sum(2 ** math.gcd(i, m) for i in range(m)) // m
+    assert len(set(canon)) == classes
+    if m == 12:
+        assert classes == 352
+        assert set(Counter(canon).values()) == {1, 2, 3, 4, 6, 12}
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_necklace_total_equals_the_unreduced_push(m):
+    """Up to m = 12, which has orbits of sizes 1, 2, 3, 4, 6 and 12."""
+    boundary = {paths._site_mask(m, sites)[0]: mult
+                for sites, mult in paths.admissible_boundaries(m)}
+    for k in range(9):
+        vec = paths._walk(m, k, boundary)
+        want = sum(mult * vec.get(slots, 0) for slots, mult in boundary.items())
+        assert paths.total_via_paths(m, k) == want, k
+
+
+def test_total_walks_one_state_per_necklace(monkeypatch):
+    seen = set()
+    moves = paths._moves
+
+    def recording(m, slots):
+        seen.add(slots)
+        return moves(m, slots)
+
+    monkeypatch.setattr(paths, "_moves", recording)
+    paths.total_via_paths(12, 20)
+    canon = paths._necklaces(12)
+    assert all(canon[slots] == slots for slots in seen)
+    assert len(seen) <= 352
 
 
 def test_dp_growth_rate_matches_growth_constant():
@@ -184,8 +249,8 @@ def test_dp_growth_rate_matches_growth_constant():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", range(3, 13))
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8])
 def test_total_via_paths_equals_transfer(m, k):
     assert paths.total_via_paths(m, k) == transfer.count_matchings_transfer(m, k)
 
@@ -193,6 +258,7 @@ def test_total_via_paths_equals_transfer(m, k):
 def test_total_via_paths_golden():
     assert paths.total_via_paths(3, 1) == 28
     assert paths.total_via_paths(4, 0) == 17
+    assert paths.total_via_paths(12, 20) == 3711602087924048824604833260064630126
 
 
 def test_total_via_paths_rejects_large_m():

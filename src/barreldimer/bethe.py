@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -121,19 +121,22 @@ def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
         raise SectorError(f"root indices {sel} outside [0, {m})")
     _check_count_size(m)  # before the basis lists its C(m, p) subsets
     lam = complementary_eigenvalue(m, p, sel, b, c)
-    amplitudes = tuple(map(complex, _amplitudes(m, p, sel)))
+    amplitudes = tuple(map(complex, _amplitudes(m, p, [sel])[0]))
     return BetheVector(m, p, sel, _block_basis(m, p), amplitudes), lam
 
 
-def _amplitudes(m: int, p: int, sel: tuple[int, ...]) -> np.ndarray:
-    """det(z_{R_i}^{l_j}) for every basis subset {l_1 < .. < l_p}; sel is sorted and valid.
+def _amplitudes(m: int, p: int, sels: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """Row i: det(z_{R_i}^{l_j}) for every basis subset {l_1 < .. < l_p}, R_i = sels[i].
 
-    The p x p matrices gather the Python powers z_r ** l at each subset and
-    go to one stacked determinant; the determinant of a 0 x 0 matrix is 1.
+    Each selection is sorted and valid.  The p x p matrices gather the Python
+    powers z_r ** l, built once per call, at each subset and go to one stacked
+    determinant per selection; the determinant of a 0 x 0 matrix is 1.
     """
     powers = np.array([[z ** l for l in range(m)] for z in roots_for_sector(m, p)])
     subsets = np.array(selections_for_sector(m, p), dtype=np.intp)
-    return np.linalg.det(powers[list(sel)][:, subsets].swapaxes(0, 1))
+    # One det call per selection: a single call over the sector would free a
+    # C(m, p)^2 p^2 stack (1.25 MB at m = 8, p = 4) and raise peak RSS by ~1 MB.
+    return np.array([np.linalg.det(powers[list(sel)][:, subsets].swapaxes(0, 1)) for sel in sels])
 
 
 def eigenvalue_direct(m: int, p: int, selection, b: float, c: float) -> complex:
@@ -204,11 +207,9 @@ def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
                 cols.append(index[t_mask])
                 exps.append(e)
     omega = boundary_vector(m)
-    # One det call per selection: a single call over the sector would free a
-    # C(m, p)^2 p^2 stack (1.25 MB at m = 8, p = 4) and raise peak RSS by ~1 MB.
     arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
               np.array(exps, dtype=np.intp),
-              np.array([_amplitudes(m, p, sel) for sel in selections_for_sector(m, p)]),
+              _amplitudes(m, p, selections_for_sector(m, p)),
               np.array([omega.get(mask, 0) for mask in basis], dtype=float))
     for arr in arrays:
         arr.flags.writeable = False

@@ -160,11 +160,11 @@ def cmd_asymptotic(args) -> int:
         if args.m <= transfer.TRANSFER_M_CAP and args.k <= 200:
             exact = transfer.sector_count(args.m, args.k, args.m - agg.n)
             obj["exact_sector"] = str(exact)
-            obj["estimate_over_exact"] = agg.value / exact if exact else float("inf")
+            obj["estimate_over_exact"] = agg.value / exact
     else:
         if args.eta is None or args.lam is None:
             raise BarrelError("either --aggregate or both --eta and --lambda are required")
-        est = paths.krattenthaler_estimate(args.m, args.k, args.eta, args.lam, args.s)
+        est = paths.krattenthaler_estimate(args.m, args.k, args.eta, args.lam)
         obj = {"m": args.m, "k": args.k, "n": est.n, "estimate": est.value}
     _emit(args, obj, [f"{key} = {value}" for key, value in obj.items()])
     return EXIT_OK
@@ -292,8 +292,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", type=_coordinates,
                    help="comma-separated start coordinates (site/2)")
     p.add_argument("--lambda", dest="lam", type=_coordinates,
-                   help="comma-separated end coordinates")
-    p.add_argument("--s", type=int, default=0, help="shift class")
+                   help="comma-separated end coordinates; their order gives the shift class")
     add_output(p, cmd_asymptotic)
 
     p = sub.add_parser("validate", help="run the self-validation criteria")

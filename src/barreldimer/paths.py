@@ -17,8 +17,9 @@ the cap boundary below is rotation-invariant, so every vector of the
 total is constant on rotation classes (necklaces) of m-bit slot masks: a
 state of the total is a necklace, carried by its least mask and weighted
 by the sum over its orbit, and pushing that sum from the representative's
-moves is exact, with no division.  A fixed start, as in path_dp_count, is
-not rotation-invariant, so there a state is a plain slot mask.
+moves is exact, with no division.  path_dp_count runs the same walk under
+the identity map: a fixed start is not rotation-invariant, so there a
+state is a plain slot mask.
 
 Cap completions enter as boundary multiplicities: an admissible start or
 end configuration is the complement of a cap-matchable subset, weighted
@@ -216,28 +217,31 @@ def _necklaces(m: int) -> list[int]:
     return canon
 
 
-def _walk(m: int, k: int, vec: dict[int, int], canon: list[int] | None = None) -> dict[int, int]:
-    """Advance weighted states k+1 steps, generating each state's moves once.
+def _walk(m: int, k: int, start: dict[int, int], end: dict[int, int], canon: Sequence[int]) -> int:
+    """sum_S end(S) v(S), where v is start pushed k+1 steps through the walker moves.
 
-    Without canon a state is a slot mask.  With canon = _necklaces(m) a state
-    is a necklace representative whose weight is its orbit total; its move
-    targets are mapped to their representatives when they are generated, so
-    a target class is counted once per move of the representative landing in it.
+    A state is canon[S]: start is folded through canon, and each state's
+    move targets are generated once and mapped as they are.  With the
+    identity range(1 << m) a state is a slot mask.  With canon = _necklaces(m)
+    a state is a necklace representative whose weight is its orbit total, so
+    a target class is counted once per move of the representative landing
+    in it; that is exact only when start, end and the moves are all
+    rotation-invariant.
     """
+    vec: dict[int, int] = {}
+    for slots, weight in start.items():
+        vec[canon[slots]] = vec.get(canon[slots], 0) + weight
     succ: dict[int, tuple[int, ...]] = {}
     for _ in range(k + 1):
         out: dict[int, int] = {}
         for slots, weight in vec.items():
             targets = succ.get(slots)
             if targets is None:
-                targets = _moves(m, slots)
-                if canon is not None:
-                    targets = tuple(map(canon.__getitem__, targets))
-                succ[slots] = targets
+                targets = succ[slots] = tuple(map(canon.__getitem__, _moves(m, slots)))
             for t in targets:
                 out[t] = out.get(t, 0) + weight
         vec = out
-    return vec
+    return sum(weight * vec.get(slots, 0) for slots, weight in end.items())
 
 
 def _check_size(m: int, k: int) -> None:
@@ -263,27 +267,22 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int]) -> i
         raise SizeMismatchError(f"start has {n_start} walkers, end {n_end}")
     if n_end and end_parity != (parity + k + 1) % 2:
         return 0
-    return _walk(m, k, {start_slots: 1}).get(end_slots, 0)
+    return _walk(m, k, {start_slots: 1}, {end_slots: 1}, range(1 << m))
 
 
 def total_via_paths(m: int, k: int) -> int:
     """Phi(F(m, k)) as a boundary-weighted sum over all walker families.
 
     In the co-moving frame the start and end boundaries share one slot
-    vector b.  The walk runs on necklaces: the start weight of a class is
+    vector b.  _walk runs on necklaces: the start weight of a class is
     its orbit total of b, and since the pushed vector v is constant on each
     class c, Phi = sum_S b(S) v(S) = sum_c b(rep c) * (orbit total of v on c).
     Only representatives are keys of the walked vector, so the final sum
     over all of b reads each class once.
     """
     _check_size(m, k)
-    canon = _necklaces(m)
     boundary = {_site_mask(m, sites)[0]: mult for sites, mult in admissible_boundaries(m)}
-    vec: dict[int, int] = {}
-    for slots, mult in boundary.items():
-        vec[canon[slots]] = vec.get(canon[slots], 0) + mult
-    vec = _walk(m, k, vec, canon)
-    return sum(mult * vec.get(slots, 0) for slots, mult in boundary.items())
+    return _walk(m, k, boundary, boundary, _necklaces(m))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +303,8 @@ class AsymptoticEstimate:
 def _half_units(m: int, coords: Sequence[float], name: str) -> list[float]:
     out = []
     for x in coords:
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise InvalidParamsError(f"{name} coordinate {x!r} is not an int or a float")
         doubled = 2 * float(x)
         if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
             raise InvalidParamsError(f"{name} coordinate {x} is not a finite half-integer")
@@ -313,13 +314,15 @@ def _half_units(m: int, coords: Sequence[float], name: str) -> list[float]:
     return out
 
 
-def krattenthaler_estimate(m: int, k: int, eta: Sequence[float], lam: Sequence[float],
-                           s: int = 0) -> AsymptoticEstimate:
+def krattenthaler_estimate(m: int, k: int, eta: Sequence[float],
+                           lam: Sequence[float]) -> AsymptoticEstimate:
     """Leading-term estimate of one fixed-boundary walker count.
 
     eta and lam are walker coordinates in circle units (site / 2), eta
-    strictly decreasing, lam strictly decreasing after rotation by the
-    shift class s, and every 2 eta_j + 2 lam_j must match k+1 mod 2.
+    strictly decreasing and lam a rotation of a strictly decreasing list;
+    every 2 eta_j + 2 lam_j must match k+1 mod 2, pairing them as listed.
+    The shift class s is read off lam: the rotation that starts at its
+    maximum.  Every shift class gives the same value.
     """
     BarrelParams(m, k)
     n = len(eta)
@@ -327,18 +330,15 @@ def krattenthaler_estimate(m: int, k: int, eta: Sequence[float], lam: Sequence[f
         raise InvalidParamsError("estimate needs at least one walker")
     if len(lam) != n:
         raise SizeMismatchError(f"eta has {n} walkers, lam {len(lam)}")
-    if type(s) is not int or not 0 <= s < n:
-        raise InvalidParamsError(f"shift class s={s!r} outside [0, {n})")
     etas = _half_units(m, eta, "eta")
     lams = _half_units(m, lam, "lam")
     if any(etas[i] <= etas[i + 1] for i in range(n - 1)):
         raise OrderingViolationError(f"eta {etas} not strictly decreasing")
-    if len(set(lams)) != n:
-        raise OrderingViolationError(f"lam {lams} has repeats")
+    s = lams.index(max(lams))
     rotated = lams[s:] + lams[:s]
     if any(rotated[i] <= rotated[i + 1] for i in range(n - 1)):
         raise OrderingViolationError(
-            f"lam {lams} with shift s={s} is not strictly decreasing")
+            f"lam {lams} is not a rotation of a strictly decreasing list")
     for j in range(n):
         if (round(2 * etas[j]) + round(2 * lams[j]) + k + 1) % 2:
             raise ParityViolationError(

@@ -325,7 +325,7 @@ def test_asymptotic_aggregate_m3(tmp_path):
 def test_asymptotic_single_estimate(tmp_path):
     out = tmp_path / "single.json"
     rc = cli.main(
-        ["asymptotic", "--m", "4", "--k", "3", "--eta", "1,0", "--lambda", "1,0", "--s", "0", "--out", str(out)]
+        ["asymptotic", "--m", "4", "--k", "3", "--eta", "1,0", "--lambda", "1,0", "--out", str(out)]
     )
     assert rc == 0
     doc = json.loads(out.read_text())
@@ -350,8 +350,20 @@ def test_asymptotic_aggregate_above_boundary_cap_exits_one():
 
 
 def test_asymptotic_bad_ordering_exits_one():
-    proc = run_cli("asymptotic", "--m", "4", "--k", "3", "--eta", "0,1", "--lambda", "1,0", "--s", "0")
+    proc = run_cli("asymptotic", "--m", "4", "--k", "3", "--eta", "0,1", "--lambda", "1,0")
     assert proc.returncode == 1
+    assert "eta [0.0, 1.0] not strictly decreasing" in proc.stderr
+
+
+def test_asymptotic_reads_the_shift_class_off_lambda():
+    """There is no --s: a rotated --lambda gives the same estimate, and --s is refused."""
+    base = ["asymptotic", "--m", "4", "--k", "3", "--eta", "1,0"]
+    rotated = run_cli(*base, "--lambda", "0,1")
+    assert rotated.returncode == 0, rotated.stderr
+    assert rotated.stdout == run_cli(*base, "--lambda", "1,0").stdout
+    proc = run_cli(*base, "--lambda", "1,0", "--s", "0")
+    assert proc.returncode == 1
+    assert "unrecognized arguments: --s 0" in proc.stderr
 
 
 @pytest.mark.parametrize("eta", ["inf", "nan", "1e308", "x"])

@@ -165,6 +165,25 @@ def test_dp_end_of_wrong_parity_returns_zero():
     assert paths.path_dp_count(5, 3, {1, 5}, {0, 4}) == 0
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dp_counts_the_matchings_of_each_boundary_pair(m, k):
+    """Matchings grouped by their walkers' (start, end) sites: each group holds
+    path_dp_count families times the cap multiplicities of both ends, the end
+    read back at time 0."""
+    g = barrel(m, k)
+    mult = dict(paths.admissible_boundaries(m))
+    groups = Counter()
+    for matching in graph.enumerate_matchings(g):
+        fam = paths.matching_to_paths(g, matching)
+        groups[frozenset(t[0] for t in fam.trajectories),
+               frozenset(t[-1] for t in fam.trajectories)] += 1
+    for (start, end), size in groups.items():
+        back = frozenset((x - k - 1) % (2 * m) for x in end)
+        assert size == paths.path_dp_count(m, k, start, end) * mult[start] * mult[back], (
+            start, end)
+
+
 @pytest.mark.parametrize("m", range(3, 10))
 def test_walker_moves_equal_transfer_rows_on_complements(m):
     """One step of walker moves from slot mask full ^ S reaches full ^ T entry(S, T) ways."""
@@ -216,8 +235,7 @@ def test_necklace_total_equals_the_unreduced_push(m):
     boundary = {paths._site_mask(m, sites)[0]: mult
                 for sites, mult in paths.admissible_boundaries(m)}
     for k in range(9):
-        vec = paths._walk(m, k, boundary)
-        want = sum(mult * vec.get(slots, 0) for slots, mult in boundary.items())
+        want = paths._walk(m, k, boundary, boundary, range(1 << m))
         assert paths.total_via_paths(m, k) == want, k
 
 
@@ -297,7 +315,7 @@ def test_path_counts_refuse_k_over_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_krattenthaler_m4_closed_value(k):
-    est = paths.krattenthaler_estimate(4, k, (1.0, 0.0), (1.0, 0.0), 0)
+    est = paths.krattenthaler_estimate(4, k, (1.0, 0.0), (1.0, 0.0))
     target = (1.0 / 8.0) * (2.0 + SQRT2) ** (k + 1) * 0.5
     assert est.value == pytest.approx(target, rel=1e-12)
     assert est.n == 2
@@ -306,39 +324,49 @@ def test_krattenthaler_m4_closed_value(k):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_krattenthaler_m3_closed_value(k):
-    est = paths.krattenthaler_estimate(3, k, (1.0, 0.0), (1.0, 0.0), 0)
+    est = paths.krattenthaler_estimate(3, k, (1.0, 0.0), (1.0, 0.0))
     target = (2.0 / 9.0) * 3.0 ** (k + 1) * 0.75
     assert est.value == pytest.approx(target, rel=1e-12)
 
 
 def test_krattenthaler_rejects_repeated_eta():
     with pytest.raises(errors.OrderingViolationError):
-        paths.krattenthaler_estimate(4, 1, (1.0, 1.0), (1.0, 0.0), 0)
+        paths.krattenthaler_estimate(4, 1, (1.0, 1.0), (1.0, 0.0))
 
 
 def test_krattenthaler_rejects_increasing_eta():
     with pytest.raises(errors.OrderingViolationError):
-        paths.krattenthaler_estimate(4, 1, (0.0, 1.0), (1.0, 0.0), 0)
+        paths.krattenthaler_estimate(4, 1, (0.0, 1.0), (1.0, 0.0))
 
 
 def test_krattenthaler_rejects_non_half_integers():
     with pytest.raises(errors.InvalidParamsError):
-        paths.krattenthaler_estimate(4, 1, (0.25, 0.0), (1.0, 0.0), 0)
+        paths.krattenthaler_estimate(4, 1, (0.25, 0.0), (1.0, 0.0))
 
 
 def test_krattenthaler_rejects_parity_violation():
     with pytest.raises(errors.ParityViolationError):
-        paths.krattenthaler_estimate(4, 2, (1.0, 0.0), (1.0, 0.0), 0)
+        paths.krattenthaler_estimate(4, 2, (1.0, 0.0), (1.0, 0.0))
 
 
-def test_krattenthaler_rejects_bad_shift():
-    with pytest.raises(errors.InvalidParamsError):
-        paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (1.0, 0.0), 5)
-    for s in (0.5, True):
-        with pytest.raises(errors.InvalidParamsError):
-            paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (1.0, 0.0), s)
+def test_krattenthaler_reads_the_shift_class_off_lam():
+    """The rotation of lam that starts at its maximum is the decreasing one."""
+    est = paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (0.0, 1.0))
+    assert est.s == 1
+    assert est.value == paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (1.0, 0.0)).value
     with pytest.raises(errors.OrderingViolationError):
-        paths.krattenthaler_estimate(4, 1, (1.0, 0.0), (0.0, 1.0), 0)
+        paths.krattenthaler_estimate(4, 1, (2.0, 1.0), (1.0, 1.0))
+    with pytest.raises(errors.OrderingViolationError):
+        paths.krattenthaler_estimate(4, 1, (2.0, 1.0, 0.0), (2.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [True, "1", None])
+@pytest.mark.parametrize("which", ["eta", "lam"])
+def test_krattenthaler_rejects_coordinates_that_are_not_numbers(which, bad):
+    coords = {"eta": (1.0, 0.0), "lam": (1.0, 0.0)}
+    coords[which] = (bad, 0.0)
+    with pytest.raises(errors.InvalidParamsError, match=f"{which} coordinate {bad!r}"):
+        paths.krattenthaler_estimate(4, 1, coords["eta"], coords["lam"])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +450,8 @@ def _aggregate_by_pairs_and_shifts(m, k, n):
                              reverse=True)
             for s in range(n):
                 lam_seq = shifted[n - s:] + shifted[:n - s]
-                est = paths.krattenthaler_estimate(m, k, etas, lam_seq, s)
+                est = paths.krattenthaler_estimate(m, k, etas, lam_seq)
+                assert est.s == s
                 total += mult_l * mult_r * est.value
     return total
 
@@ -444,8 +473,7 @@ def test_shift_classes_contribute_equal_terms(m):
         left, right = boundaries[0], boundaries[-1]
         etas = sorted((site / 2 for site in left), reverse=True)
         shifted = sorted((((site + k + 1) % (2 * m)) / 2 for site in right), reverse=True)
-        values = [paths.krattenthaler_estimate(m, k, etas, shifted[n - s:] + shifted[:n - s],
-                                               s).value
+        values = [paths.krattenthaler_estimate(m, k, etas, shifted[-s:] + shifted[:-s]).value
                   for s in range(n)]
         assert max(values) == pytest.approx(min(values), rel=1e-13)
 

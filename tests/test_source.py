@@ -60,6 +60,24 @@ def test_transfer_never_builds_the_graph():
     assert found == []
 
 
+def test_paths_imports_only_the_boundary_from_transfer():
+    """The walker route is independent of transfer's rows and classes: paths
+    takes the cap boundary and its size guard from transfer, nothing else."""
+    tree = ast.parse((SRC / "paths.py").read_text(encoding="utf-8"))
+    relative, absolute = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            absolute.append(node.module)
+        elif isinstance(node, ast.Import):
+            absolute += [alias.name for alias in node.names]
+    assert sorted(name for module, name in relative if module == "transfer") == [
+        "_check_boundary_cap", "boundary_vector"]
+    assert (None, "transfer") not in relative
+    assert not [name for name in absolute if name.split(".")[0] == "barreldimer"]
+
+
 def test_every_import_is_used():
     """No module imports a name it never reads; __init__ re-exports are exempt."""
     found = []

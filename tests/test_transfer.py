@@ -277,6 +277,13 @@ def test_sectors_partition_total(m, k):
     assert total == transfer.count_matchings_transfer(m, k)
 
 
+@pytest.mark.parametrize("m", range(3, 13))
+def test_every_sector_of_the_right_parity_is_nonempty(m):
+    """So asymptotic --aggregate never divides by a zero exact sector."""
+    for p in range(m % 2, m + 1, 2):
+        assert transfer.sector_count(m, 0, p) >= 1, p
+
+
 def test_sector_rejects_bad_parity_and_range():
     with pytest.raises(errors.SectorError):
         transfer.sector_count(4, 1, 1)

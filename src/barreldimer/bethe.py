@@ -80,14 +80,13 @@ def selections_for_sector(m: int, p: int) -> tuple[tuple[int, ...], ...]:
 class BetheVector:
     """Determinant eigenvector of sector p, independent of (b, c).
 
-    basis holds the p-subset bitmasks in ascending (colex) order and
-    amplitudes the aligned determinant values.
+    amplitudes holds one determinant per p-subset of I_m, in the colex
+    order of selections_for_sector (ascending bitmask order).
     """
 
     m: int
     p: int
     selection: tuple[int, ...]
-    basis: tuple[int, ...]
     amplitudes: tuple[complex, ...]
 
 
@@ -108,9 +107,12 @@ def complementary_eigenvalue(m: int, p: int, selection: tuple[int, ...],
     return lam
 
 
-def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
-                    ) -> tuple[BetheVector, complex]:
-    """Eigenvector amplitudes and complementary-product eigenvalue for one selection."""
+def bethe_eigenpair(m: int, p: int, selection) -> tuple[BetheVector, complex]:
+    """Eigenvector amplitudes and the eigenvalue at b = c = 1 for one selection.
+
+    The vector does not depend on the weights; complementary_eigenvalue
+    gives the eigenvalue at any (b, c).
+    """
     _check_sector(m, p)
     sel = tuple(sorted(selection))
     if len(sel) != p:
@@ -119,10 +121,9 @@ def bethe_eigenpair(m: int, p: int, selection, b: float = 1.0, c: float = 1.0
         raise DegenerateRootsError(f"repeated root indices in {sel}")
     if not all(type(r) is int and 0 <= r < m for r in sel):
         raise SectorError(f"root indices {sel} outside [0, {m})")
-    _check_count_size(m)  # before the basis lists its C(m, p) subsets
-    lam = complementary_eigenvalue(m, p, sel, b, c)
+    _check_count_size(m)  # before _amplitudes lists the C(m, p) subsets
     amplitudes = tuple(map(complex, _amplitudes(m, p, [sel])[0]))
-    return BetheVector(m, p, sel, _block_basis(m, p), amplitudes), lam
+    return BetheVector(m, p, sel, amplitudes), complementary_eigenvalue(m, p, sel)
 
 
 def _amplitudes(m: int, p: int, sels: Iterable[tuple[int, ...]]) -> np.ndarray:
@@ -193,7 +194,9 @@ def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     per selection in selections_for_sector order; omega restricted to the
     basis).  The matching of T in row S != 0 weighs c^d b^(m-p-d) with
     d = (sum T - sum S) mod m; the p = 0 entry lists d = 0 (b^m), then
-    d = m (c^m).  The arrays are read-only.
+    d = m (c^m).  The arrays are read-only.  The amplitude matrix must have
+    full rank, which holds at every weight: RankDeficientError otherwise,
+    and lru_cache keeps no exception, so a failing sector fails every call.
     """
     basis = _block_basis(m, p)
     index = {mask: i for i, mask in enumerate(basis)}
@@ -206,10 +209,14 @@ def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
                 rows.append(i)
                 cols.append(index[t_mask])
                 exps.append(e)
+    amplitudes = _amplitudes(m, p, selections_for_sector(m, p))
+    rank = int(np.linalg.matrix_rank(amplitudes))
+    if rank != len(basis):
+        raise RankDeficientError(
+            f"sector (m={m}, p={p}): eigenvectors span rank {rank} < {len(basis)}")
     omega = boundary_vector(m)
     arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-              np.array(exps, dtype=np.intp),
-              _amplitudes(m, p, selections_for_sector(m, p)),
+              np.array(exps, dtype=np.intp), amplitudes,
               np.array([omega.get(mask, 0) for mask in basis], dtype=float))
     for arr in arrays:
         arr.flags.writeable = False
@@ -232,15 +239,17 @@ def _dense_block(m: int, p: int, b: float, c: float) -> np.ndarray:
 def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpectrum:
     """Check every Bethe eigenpair of block B_p against the dense matrix.
 
-    The eigenvectors are the rows of the cached amplitude matrix.  Residual
+    The eigenvectors are the rows of the cached amplitude matrix, whose full
+    rank _block_structure checks once per sector.  Residual
     ||B v - lambda v||_2 / ||v||_2 must stay below RESIDUAL_TOL for all
-    C(m, p) selections, and the matrix must have full rank.  A NaN residual
-    fails the check; weights whose block entries overflow a float raise
-    InvalidParamsError.
+    C(m, p) selections; a NaN residual fails the check.  Weights must be
+    finite ints or floats (not bools), and weights whose block entries
+    overflow a float raise InvalidParamsError.
     """
     _check_sector(m, p)
-    if not (math.isfinite(b) and math.isfinite(c)):
-        raise InvalidParamsError(f"weights must be finite, got b={b}, c={c}")
+    if not all(isinstance(w, (int, float)) and not isinstance(w, bool) and math.isfinite(w)
+               for w in (b, c)):
+        raise InvalidParamsError(f"weights must be finite, got b={b!r}, c={c!r}")
     if m > VERIFY_M_CAP:
         raise TooLargeError(f"m={m} exceeds dense verification cap {VERIFY_M_CAP}")
     try:
@@ -265,11 +274,8 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
     if not worst <= RESIDUAL_TOL:
         raise ResidualExceededError(
             f"sector (m={m}, p={p}, b={b}, c={c}): residual {worst:.3e} > {RESIDUAL_TOL:.1e}")
-    rank = int(np.linalg.matrix_rank(amplitudes))
-    if rank != math.comb(m, p):
-        raise RankDeficientError(
-            f"sector (m={m}, p={p}): eigenvectors span rank {rank} < {math.comb(m, p)}")
-    return SectorSpectrum(m, p, b, c, math.comb(m, p), rank, worst, tuple(entries))
+    dimension = math.comb(m, p)
+    return SectorSpectrum(m, p, b, c, dimension, dimension, worst, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

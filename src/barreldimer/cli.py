@@ -13,6 +13,7 @@ import argparse
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -230,10 +231,7 @@ def cmd_render(args) -> int:
     g = build_graph(params)
     if args.what != "graph" and matching is None:
         index = args.index if args.index is not None else 0
-        for i, mm in enumerate(enumerate_matchings(g)):
-            if i == index:
-                matching = mm
-                break
+        matching = next(itertools.islice(enumerate_matchings(g), index, None), None)
         if matching is None:
             raise BarrelError(f"matching index {index} out of range")
     _write_out(args.out, render.render_view(g, args.what, matching))

@@ -13,7 +13,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import bethe, entropy, paths, transfer
 from .errors import InvalidParamsError
@@ -126,7 +125,7 @@ def _check_empirical_growth(fast: bool) -> tuple[bool, str]:
         rho = bethe.growth_constant(m)
         hi = transfer.count_matchings_transfer(m, 61)
         lo = transfer.count_matchings_transfer(m, 60)
-        ratio = float(Fraction(hi, lo))
+        ratio = hi / lo  # int / int is correctly rounded
         if abs(ratio - rho) > 1e-6 * rho:
             return False, f"m={m}: Phi ratio {ratio!r} vs rho {rho!r}"
     return True, f"Phi(m,61)/Phi(m,60) within 1e-6 of rho for m in {ms}"
@@ -136,10 +135,9 @@ def _check_sector_concentration(fast: bool) -> tuple[bool, str]:
     k = 20 if fast else 40
     dominant = transfer.sector_count(5, k, 1)
     total = transfer.count_matchings_transfer(5, k)
-    share = Fraction(dominant, total)
-    if share < Fraction(999, 1000):
-        return False, f"p=1 share of Phi(F(5,{k})) is {float(share):.6f} < 0.999"
-    return True, f"p=1 sector holds {float(share):.6f} of Phi(F(5,{k}))"
+    if 1000 * dominant < 999 * total:
+        return False, f"p=1 share of Phi(F(5,{k})) is {dominant / total:.6f} < 0.999"
+    return True, f"p=1 sector holds {dominant / total:.6f} of Phi(F(5,{k}))"
 
 
 def _check_leading_eigenterm(fast: bool) -> tuple[bool, str]:
@@ -150,17 +148,13 @@ def _check_leading_eigenterm(fast: bool) -> tuple[bool, str]:
 
 
 def _check_aggregate_coefficients(fast: bool) -> tuple[bool, str]:
-    for k in (4, 5):
-        agg = paths.aggregate_estimate(3, k)
-        want = 3 ** (k + 2)
-        if abs(agg.value - want) > 1e-12 * want:
-            return False, f"m=3 k={k}: aggregate {agg.value!r} != 3^(k+2) = {want}"
-    base = 2 + math.sqrt(2)
-    for k in (4, 5):
-        agg = paths.aggregate_estimate(4, k)
-        want = 2 * base ** (k + 1)
-        if abs(agg.value - want) > 1e-12 * want:
-            return False, f"m=4 k={k}: aggregate {agg.value!r} != 2(2+sqrt2)^(k+1) = {want!r}"
+    closed_forms = ((3, "3^(k+2)", lambda k: 3 ** (k + 2)),
+                    (4, "2(2+sqrt2)^(k+1)", lambda k: 2 * (2 + math.sqrt(2)) ** (k + 1)))
+    for m, formula, closed in closed_forms:
+        for k in (4, 5):
+            value, want = paths.aggregate_estimate(m, k).value, closed(k)
+            if abs(value - want) > 1e-12 * want:
+                return False, f"m={m} k={k}: aggregate {value!r} != {formula} = {want!r}"
     return True, "aggregate = 9 * 3^k (m=3) and 2 (2+sqrt2)^(k+1) (m=4) to 1e-12"
 
 

@@ -231,8 +231,38 @@ def test_block_structure_cache_is_bounded():
 def test_verify_sector_rank_deficiency_fails(monkeypatch):
     real = np.linalg.matrix_rank
     monkeypatch.setattr(bethe.np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
+    bethe._block_structure.cache_clear()
     with pytest.raises(errors.RankDeficientError):
         bethe.verify_sector(4, 2)
+
+
+def test_sector_rank_is_taken_once_per_sector(monkeypatch):
+    """The amplitude matrix does not depend on the weights, so its rank is
+    checked once, when the sector table is built, not on every draw."""
+    real, calls = np.linalg.matrix_rank, []
+
+    def counted(a, *args):
+        calls.append(a.shape)
+        return real(a, *args)
+
+    bethe._block_structure.cache_clear()
+    monkeypatch.setattr(bethe.np.linalg, "matrix_rank", counted)
+    for b, c in [(1.0, 1.0), (2.0, 3.0), (0.5, 1.7)]:
+        assert bethe.verify_sector(5, 2, b, c).rank == 10
+    assert calls == [(10, 10)]
+
+
+@pytest.mark.parametrize("weight", ["1", None, 1j, True, False])
+@pytest.mark.parametrize("slot", ["b", "c"])
+def test_verify_sector_rejects_weights_that_are_not_numbers(slot, weight):
+    """Weights follow the coordinate rule of the walker estimate: an int or a
+    float, and no bool."""
+    with pytest.raises(errors.InvalidParamsError, match="must be finite"):
+        bethe.verify_sector(4, 2, **{slot: weight})
+
+
+def test_verify_sector_takes_int_and_numpy_float_weights():
+    assert bethe.verify_sector(4, 2, 2, np.float64(3.0)).max_residual <= bethe.RESIDUAL_TOL
 
 
 def test_eigenpair_refuses_m_above_the_cap_before_the_basis_scan(monkeypatch):

@@ -18,7 +18,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
-from barreldimer import bethe, cli, graph, transfer, validate
+from barreldimer import bethe, cli, graph, render, transfer, validate
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -393,6 +393,7 @@ def test_spectrum_overflowing_weight_exits_one(weight):
 def test_spectrum_rank_deficiency_exits_one(monkeypatch, capsys):
     real = bethe.np.linalg.matrix_rank
     monkeypatch.setattr(bethe.np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
+    bethe._block_structure.cache_clear()
     assert cli.main(["spectrum", "--m", "4", "--p", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "rank 5 < 6" in captured.err
@@ -643,6 +644,19 @@ def test_render_paths_walker_polylines(tmp_path):
     assert cli.main(["render", "--m", "3", "--k", "0", "--what", "paths", "--index", "2", "--out", str(out)]) == 0
     counts = svg_counts(out.read_text())
     assert counts["polyline"] >= 2  # 2 walkers; wrapping may split a trajectory
+
+
+def test_render_index_is_bounded_by_the_matching_count(capsys):
+    """F(3, 0) has 10 matchings: --index 9 draws the last one, --index 10 is out of range."""
+    g = graph.build_graph(graph.BarrelParams(3, 0))
+    matchings = list(graph.enumerate_matchings(g))
+    assert len(matchings) == 10
+    assert cli.main(["render", "--m", "3", "--k", "0", "--what", "tiling", "--index", "9"]) == 0
+    assert capsys.readouterr().out == render.render_view(g, "tiling", matchings[9])
+    assert cli.main(["render", "--m", "3", "--k", "0", "--what", "tiling", "--index", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: matching index 10 out of range\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("view", [

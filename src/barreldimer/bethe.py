@@ -35,9 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import (
     DegenerateRootsError,
@@ -52,6 +50,9 @@ from .errors import (
 )
 from .graph import BarrelParams
 from .transfer import _check_count_size, _check_sector, _count_row, boundary_vector, mask_elements
+
+if TYPE_CHECKING:  # numpy loads in the functions that compute with it
+    import numpy as np
 
 VERIFY_M_CAP = 8
 RESIDUAL_TOL = 1e-9
@@ -133,6 +134,8 @@ def _amplitudes(m: int, p: int, sels: Iterable[tuple[int, ...]]) -> np.ndarray:
     powers z_r ** l, built once per call, at each subset and go to one stacked
     determinant per selection; the determinant of a 0 x 0 matrix is 1.
     """
+    import numpy as np
+
     powers = np.array([[z ** l for l in range(m)] for z in roots_for_sector(m, p)])
     subsets = np.array(selections_for_sector(m, p), dtype=np.intp)
     # One det call per selection: a single call over the sector would free a
@@ -185,19 +188,25 @@ class SectorSpectrum:
 
 
 @lru_cache(maxsize=64)
-def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
-                                                np.ndarray, np.ndarray]:
+def _block_structure(m: int, p: int) -> tuple[
+        tuple[np.ndarray, np.ndarray, np.ndarray],
+        tuple[tuple[tuple[int, ...], tuple[complex, ...], float, complex], ...],
+        np.ndarray, np.ndarray]:
     """Everything the dense check needs of sector (m, p) besides the weights.
 
     Returns ((row, col, exponent d) of every matching of every block row,
-    in _count_row order; the C(m, p) x C(m, p) amplitude matrix, one row
-    per selection in selections_for_sector order; omega restricted to the
-    basis).  The matching of T in row S != 0 weighs c^d b^(m-p-d) with
-    d = (sum T - sum S) mod m; the p = 0 entry lists d = 0 (b^m), then
-    d = m (c^m).  The arrays are read-only.  The amplitude matrix must have
-    full rank, which holds at every weight: RankDeficientError otherwise,
-    and lru_cache keeps no exception, so a failing sector fails every call.
+    in _count_row order; per selection in selections_for_sector order, the
+    selection, its roots, ||v||_2 and <omega, v> of its eigenvector v; the
+    C(m, p) x C(m, p) amplitude matrix, one row v per selection; omega
+    restricted to the basis).  The matching of T in row S != 0 weighs
+    c^d b^(m-p-d) with d = (sum T - sum S) mod m; the p = 0 entry lists
+    d = 0 (b^m), then d = m (c^m).  The arrays are read-only.  The amplitude
+    matrix must have full rank, which holds at every weight:
+    RankDeficientError otherwise, and lru_cache keeps no exception, so a
+    failing sector fails every call.
     """
+    import numpy as np
+
     basis = _block_basis(m, p)
     index = {mask: i for i, mask in enumerate(basis)}
     rows, cols, exps = [], [], []
@@ -209,7 +218,8 @@ def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
                 rows.append(i)
                 cols.append(index[t_mask])
                 exps.append(e)
-    amplitudes = _amplitudes(m, p, selections_for_sector(m, p))
+    sels = selections_for_sector(m, p)
+    amplitudes = _amplitudes(m, p, sels)
     rank = int(np.linalg.matrix_rank(amplitudes))
     if rank != len(basis):
         raise RankDeficientError(
@@ -220,7 +230,10 @@ def _block_structure(m: int, p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
               np.array([omega.get(mask, 0) for mask in basis], dtype=float))
     for arr in arrays:
         arr.flags.writeable = False
-    return arrays[:3], arrays[3], arrays[4]
+    omega_vec, roots = arrays[4], roots_for_sector(m, p)
+    table = tuple((sel, tuple(roots[r] for r in sel), float(np.linalg.norm(v)),
+                   complex(omega_vec @ v)) for sel, v in zip(sels, amplitudes))
+    return arrays[:3], table, amplitudes, omega_vec
 
 
 def _dense_block(m: int, p: int, b: float, c: float) -> np.ndarray:
@@ -229,6 +242,8 @@ def _dense_block(m: int, p: int, b: float, c: float) -> np.ndarray:
     Every such d occurs when p >= 1; at p = 0 only the ends d = 0 and d = m
     are read, and no d between them overflows where both ends do not.
     """
+    import numpy as np
+
     (rows, cols, exps), *_ = _block_structure(m, p)
     values = np.array([b ** (m - p - d) * c ** d for d in range(m - p + 1)], dtype=float)
     mat = np.zeros((math.comb(m, p), math.comb(m, p)))
@@ -240,15 +255,19 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
     """Check every Bethe eigenpair of block B_p against the dense matrix.
 
     The eigenvectors are the rows of the cached amplitude matrix, whose full
-    rank _block_structure checks once per sector.  Residual
+    rank _block_structure checks once per sector; their norms and omega
+    overlaps come from the same table.  Residual
     ||B v - lambda v||_2 / ||v||_2 must stay below RESIDUAL_TOL for all
     C(m, p) selections; a NaN residual fails the check.  Weights must be
-    finite ints or floats (not bools), and weights whose block entries
+    ints or finite floats (not bools), and weights whose block entries
     overflow a float raise InvalidParamsError.
     """
+    import numpy as np
+
     _check_sector(m, p)
-    if not all(isinstance(w, (int, float)) and not isinstance(w, bool) and math.isfinite(w)
-               for w in (b, c)):
+    # Ints are finite: math.isfinite would convert one beyond the float range and raise.
+    if not all(isinstance(w, (int, float)) and not isinstance(w, bool)
+               and (isinstance(w, int) or math.isfinite(w)) for w in (b, c)):
         raise InvalidParamsError(f"weights must be finite, got b={b!r}, c={c!r}")
     if m > VERIFY_M_CAP:
         raise TooLargeError(f"m={m} exceeds dense verification cap {VERIFY_M_CAP}")
@@ -257,18 +276,17 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
     except OverflowError:
         raise InvalidParamsError(
             f"weights b={b}, c={c} overflow a float in sector (m={m}, p={p})") from None
-    roots = roots_for_sector(m, p)
-    *_, amplitudes, omega_vec = _block_structure(m, p)
+    _, table, amplitudes, _ = _block_structure(m, p)
 
     entries: list[SpectrumEntry] = []
-    for sel, v in zip(selections_for_sector(m, p), amplitudes):
+    for (sel, roots, norm, overlap), v in zip(table, amplitudes):
         lam = complementary_eigenvalue(m, p, sel, b, c)
         entries.append(SpectrumEntry(
             selection=sel,
-            roots=tuple(roots[r] for r in sel),
+            roots=roots,
             eigenvalue=lam,
-            residual=float(np.linalg.norm(block @ v - lam * v) / np.linalg.norm(v)),
-            omega_overlap=complex(omega_vec @ v),
+            residual=float(np.linalg.norm(block @ v - lam * v) / norm),
+            omega_overlap=overlap,
         ))
     worst = float(np.max([e.residual for e in entries]))  # NaN propagates
     if not worst <= RESIDUAL_TOL:
@@ -391,6 +409,8 @@ def perron_positivity_check(m: int) -> PerronReport:
     out using the first basis subset, after which every amplitude must be
     real and positive.
     """
+    import numpy as np
+
     p0 = p_zero(m)
     sel = top_selection(m, p0)
     vec, lam = bethe_eigenpair(m, p0, sel)

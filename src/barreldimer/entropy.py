@@ -24,11 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
 from .bethe import growth_constant
-from .errors import FormulaMismatchError, InvalidParamsError, ToleranceError
+from .errors import FormulaMismatchError, InvalidParamsError, TooLargeError, ToleranceError
 
 H_INF_REFERENCE = 0.1615329736
 LIMIT_AGREEMENT_TOL = 1e-10
@@ -40,6 +37,10 @@ TABLE_CRITERION_TOL = 1e-3
 # error estimate.
 QUADRATURE_NODES = 16
 CHECK_NODES = 8
+# Most terms limit_entropy_series sums.  Its one float array peaks at 8 bytes
+# a term (8 MB under tracemalloc at 10^6 terms), so the cap holds it to
+# 256 MB, the memory transfer.SAMPLER_BYTES_CAP grants the sampler.
+SERIES_TERMS_CAP = 2**25
 
 
 def entropy_of_family(m: int) -> float:
@@ -49,6 +50,9 @@ def entropy_of_family(m: int) -> float:
 
 def _smooth_integral(nodes: int) -> float:
     """integral_0^{pi/3} log(sin t / t) dt by Gauss-Legendre with the given node count."""
+    import numpy as np
+    from numpy.polynomial.legendre import leggauss
+
     half = math.pi / 6
     x, w = leggauss(nodes)
     t = half * (x + 1.0)  # interior nodes, never t = 0
@@ -80,9 +84,14 @@ def limit_entropy_series(terms: int = 10**6) -> float:
     is sqrt(3)/2 times the pattern +1, -1, 0 for n = 1, 2, 0 mod 3.
     The terms are signed in place in the one array of 1/n^2 and summed
     there: each term, and so the sum's bits, are those of sign / n^2.
+    More than SERIES_TERMS_CAP terms raise TooLargeError before any allocation.
     """
+    import numpy as np
+
     if type(terms) is not int or terms < 1:
         raise InvalidParamsError(f"terms must be an int >= 1, got {terms!r}")
+    if terms > SERIES_TERMS_CAP:
+        raise TooLargeError(f"terms={terms} exceeds the series cap {SERIES_TERMS_CAP}")
     # ** 2 is n * n and ** -1 is 1.0 / x; numpy reuses each temporary in place.
     series = (np.arange(1, terms + 1, dtype=float) ** 2) ** -1
     series[1::3] *= -1.0  # n = 2 mod 3

@@ -194,9 +194,9 @@ def _check_sampler(fast: bool) -> tuple[bool, str]:
     if sampler.total != 28:
         return False, f"F(3,1) has {sampler.total} matchings, expected 28"
     rng = random.Random(SAMPLER_SEED)
-    freqs: dict[tuple[int, ...], int] = {}
+    freqs: dict[frozenset[int], int] = {}
     for _ in range(n_samples):
-        key = sampler.draw(rng).sorted_ids()
+        key = sampler.draw(rng).edges
         freqs[key] = freqs.get(key, 0) + 1
     if len(freqs) != 28:
         return False, f"only {len(freqs)} of 28 matchings observed"

@@ -164,11 +164,16 @@ def test_verify_sector_rejects_non_finite_weights():
 
 
 def test_verify_sector_rejects_overflowing_weights():
-    """b^2 = 1e400 is no float; the block must not leak an OverflowError."""
+    """b^2 = 1e400 is no float; the block must not leak an OverflowError.
+    Nor must the weight check, which would convert an int beyond the float
+    range such as 10^400 if it asked math.isfinite."""
     with pytest.raises(errors.InvalidParamsError):
         bethe.verify_sector(4, 2, 1e200)
     with pytest.raises(errors.InvalidParamsError):
         bethe.verify_sector(4, 2, 1.0, 1e200)
+    for b, c in [(10**400, 1.0), (1, 10**400), (10**400, 10**400)]:
+        with pytest.raises(errors.InvalidParamsError, match="overflow a float"):
+            bethe.verify_sector(4, 2, b, c)
 
 
 def _dense_block_reference(m, p, b, c):
@@ -184,9 +189,19 @@ def _dense_block_reference(m, p, b, c):
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_cached_block_structure_gives_the_same_matrices(m):
+    """The block, and per selection the cached roots, norm and omega overlap
+    bit for bit as verify_sector took them from each row."""
     for p in range(m + 1):
         block = bethe._dense_block(m, p, 2.0, 3.0)
         assert np.array_equal(block, _dense_block_reference(m, p, 2.0, 3.0)), p
+        _, table, amplitudes, omega_vec = bethe._block_structure(m, p)
+        roots = bethe.roots_for_sector(m, p)
+        sels = bethe.selections_for_sector(m, p)
+        assert [row[0] for row in table] == list(sels)
+        for (sel, sel_roots, norm, overlap), v in zip(table, amplitudes, strict=True):
+            assert sel_roots == tuple(roots[r] for r in sel), (p, sel)
+            assert norm == np.linalg.norm(v), (p, sel)
+            assert overlap == complex(omega_vec @ v), (p, sel)
 
 
 @pytest.mark.parametrize("m", range(3, 9))
@@ -230,7 +245,7 @@ def test_block_structure_cache_is_bounded():
 
 def test_verify_sector_rank_deficiency_fails(monkeypatch):
     real = np.linalg.matrix_rank
-    monkeypatch.setattr(bethe.np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
     bethe._block_structure.cache_clear()
     with pytest.raises(errors.RankDeficientError):
         bethe.verify_sector(4, 2)
@@ -246,7 +261,7 @@ def test_sector_rank_is_taken_once_per_sector(monkeypatch):
         return real(a, *args)
 
     bethe._block_structure.cache_clear()
-    monkeypatch.setattr(bethe.np.linalg, "matrix_rank", counted)
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
     for b, c in [(1.0, 1.0), (2.0, 3.0), (0.5, 1.7)]:
         assert bethe.verify_sector(5, 2, b, c).rank == 10
     assert calls == [(10, 10)]

@@ -16,6 +16,7 @@ import sys
 import xml.etree.ElementTree as ET
 
 import jsonschema
+import numpy as np
 import pytest
 
 from barreldimer import bethe, cli, graph, render, transfer, validate
@@ -391,8 +392,8 @@ def test_spectrum_overflowing_weight_exits_one(weight):
 
 
 def test_spectrum_rank_deficiency_exits_one(monkeypatch, capsys):
-    real = bethe.np.linalg.matrix_rank
-    monkeypatch.setattr(bethe.np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
+    real = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda a, *args: real(a, *args) - 1)
     bethe._block_structure.cache_clear()
     assert cli.main(["spectrum", "--m", "4", "--p", "2"]) == 1
     captured = capsys.readouterr()

@@ -94,6 +94,18 @@ def test_series_rejects_nonpositive_terms():
         entropy.limit_entropy_series(10.5)
 
 
+def test_series_above_the_cap_raises_before_allocating():
+    terms = entropy.SERIES_TERMS_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.TooLargeError):
+            entropy.limit_entropy_series(terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_convergence_report_shape():
     rep = entropy.convergence_report(60)
     assert rep.limit == pytest.approx(H_REF, abs=1e-8)

@@ -99,13 +99,38 @@ def test_every_import_is_used():
     assert found == []
 
 
-@pytest.mark.parametrize("module", ["scipy", "jsonschema", "fractions", "decimal"])
+@pytest.mark.parametrize("module", ["scipy", "jsonschema", "fractions", "decimal", "numpy"])
 def test_cli_import_leaves_scipy_unloaded(module):
     code = f"import sys, barreldimer.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("commands, loads_numpy", [
+    ([["count", "--m", "4", "--k", "3", "--method", "transfer"],
+      ["count", "--m", "4", "--k", "3", "--method", "paths"],
+      ["sample", "--m", "4", "--k", "3", "--samples", "5"],
+      ["render", "--m", "3", "--k", "1", "--what", "tiling", "--seed", "1"],
+      ["asymptotic", "--m", "4", "--k", "5", "--aggregate"]], False),
+    ([["growth", "--m", "5"]], True),
+    ([["spectrum", "--m", "4", "--p", "2"]], True),
+    ([["validate", "--level", "fast"]], True),
+], ids=["count-sample-render-asymptotic", "growth", "spectrum", "validate"])
+def test_commands_load_numpy_only_for_float_checks(commands, loads_numpy):
+    """The exact counts, the sampler, the SVG and the walker estimate run on
+    Python numbers; only the Bethe, growth and entropy checks load numpy."""
+    code = ("import contextlib, io, sys\n"
+            "from barreldimer import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loads_numpy)
 
 
 # Top-level definitions whose only callers live outside src/, by caller.

@@ -251,6 +251,14 @@ def _dense_block(m: int, p: int, b: float, c: float) -> np.ndarray:
     return mat
 
 
+def _weight_text(w, text: Callable[[object], str] = repr) -> str:
+    """text(w), but an int beyond the float range by its bit length: str() of an
+    int of more than 4,300 digits raises ValueError."""
+    if isinstance(w, int) and w.bit_length() > 1024:
+        return f"an int of {w.bit_length()} bits"
+    return text(w)
+
+
 def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpectrum:
     """Check every Bethe eigenpair of block B_p against the dense matrix.
 
@@ -268,14 +276,16 @@ def verify_sector(m: int, p: int, b: float = 1.0, c: float = 1.0) -> SectorSpect
     # Ints are finite: math.isfinite would convert one beyond the float range and raise.
     if not all(isinstance(w, (int, float)) and not isinstance(w, bool)
                and (isinstance(w, int) or math.isfinite(w)) for w in (b, c)):
-        raise InvalidParamsError(f"weights must be finite, got b={b!r}, c={c!r}")
+        raise InvalidParamsError(
+            f"weights must be finite, got b={_weight_text(b)}, c={_weight_text(c)}")
     if m > VERIFY_M_CAP:
         raise TooLargeError(f"m={m} exceeds dense verification cap {VERIFY_M_CAP}")
     try:
         block = _dense_block(m, p, b, c)
     except OverflowError:
         raise InvalidParamsError(
-            f"weights b={b}, c={c} overflow a float in sector (m={m}, p={p})") from None
+            f"weights b={_weight_text(b, str)}, c={_weight_text(c, str)} overflow a float "
+            f"in sector (m={m}, p={p})") from None
     _, table, amplitudes, _ = _block_structure(m, p)
 
     entries: list[SpectrumEntry] = []

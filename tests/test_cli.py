@@ -6,13 +6,17 @@ Exit-code contract: 0 success, 1 usage or invalid input, 2 validation failure
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import errno
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import jsonschema
@@ -511,6 +515,97 @@ def test_sample_rejects_non_int_ids(monkeypatch, capsys, tmp_path, bad):
     assert cli.main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "3", None])
+def test_sample_rejects_a_non_int_id_in_the_last_draw_only(monkeypatch, capsys, tmp_path, bad):
+    """The draws before it were encoded already; still nothing is written."""
+    real = graph.Matching.sorted_ids
+    calls = []
+
+    def last_is_bad(self):
+        calls.append(None)
+        return (0, bad, 7) if len(calls) % 3 == 0 else real(self)
+
+    monkeypatch.setattr(graph.Matching, "sorted_ids", last_is_bad)
+    for fmt in ("json", "text", "csv"):
+        argv = ["sample", "--m", "3", "--k", "1", "--samples", "3", "--format", fmt]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        out = tmp_path / f"s.{fmt}"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+    assert len(calls) == 6 * 3
+
+
+def _reference_sample_output(m, k, samples, seed, fmt):
+    """sample's bytes as the whole-document writers made them: every draw kept
+    in a list, then one json.dumps of the document, one join of the text lines,
+    or the csv frequency table."""
+    sampler = transfer.UniformSampler(m, k)
+    rng = random.Random(seed)
+    draws = [sampler.draw(rng).sorted_ids() for _ in range(samples)]
+    if fmt == "json":
+        obj = {"m": m, "k": k, "seed": seed, "samples": draws}
+        return json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"
+    if fmt == "text":
+        return "".join(" ".join(map(str, ids)) + "\n" for ids in draws)
+    freqs = {}
+    for ids in draws:
+        freqs[ids] = freqs.get(ids, 0) + 1
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["matching_edges", "count"])
+    for ids, cnt in sorted(freqs.items()):
+        writer.writerow([";".join(map(str, ids)), cnt])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("samples", [0, 1, 20])
+@pytest.mark.parametrize("m", [3, 4, 8, 12])  # an even m draws cap coins
+def test_sample_bytes_match_the_whole_document_writers(capsys, tmp_path, m, samples, fmt):
+    want = _reference_sample_output(m, 3, samples, 5, fmt)
+    argv = ["sample", "--m", str(m), "--k", "3", "--samples", str(samples), "--seed", "5",
+            "--format", fmt]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "s.out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("text", "73be0c59e029ab68689360fd424c34697f8b00a5d81afe0b3669cf8044de903d"),
+    ("csv", "26ae48c8e9cc4bb83d947401752304c520fc5b71994bdcf45ade5e0413466c30"),
+])
+def test_sample_mid_size_text_and_csv_bytes_are_pinned(tmp_path, fmt, digest):
+    """The run of test_sample_mid_size_bytes_are_pinned in the other two formats."""
+    out = tmp_path / f"s.{fmt}"
+    rc = cli.main(["sample", "--m", "12", "--k", "40", "--samples", "20", "--seed", "1",
+                   "--format", fmt, "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt,limit_mb", [("json", 10), ("text", 9)])
+def test_sample_holds_its_encoded_output_not_its_draws(fmt, limit_mb):
+    """200 draws of F(12, 200) print 2.8 MB of JSON.  Kept as id tuples, then
+    encoded as one document, they peaked at 14.4 MB (text about 13 MB);
+    encoded as drawn, at 7.4 MB (text 7.0 MB)."""
+    argv = ["sample", "--m", "12", "--k", "200", "--samples", "200", "--format", fmt]
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buf.getvalue().count("\n") == (1 if fmt == "json" else 200)
+    assert peak < limit_mb * 1_000_000
 
 
 def test_sample_refuses_more_ids_than_the_cap(monkeypatch, capsys):

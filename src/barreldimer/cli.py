@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import io
 import itertools
 import json
 import os
 import random
 import sys
+import types
 
 from . import bethe, entropy, paths, render, transfer, validate
 from .errors import BarrelError, StructuralViolationError, TooLargeError
@@ -219,12 +219,11 @@ def cmd_sample(args) -> int:
                 pieces.append(", ")
             pieces.append(json.dumps(ids))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(types.SimpleNamespace(write=pieces.append))
         writer.writerow(["matching_edges", "count"])
         for ids, cnt in sorted(freqs.items()):
             writer.writerow([";".join(map(str, ids)), cnt])
-        _write_out(args.out, buf.getvalue())
+        _write_out(args.out, *pieces)
     elif args.format == "text":
         _write_out(args.out, *pieces)
     else:  # the bytes of json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"

@@ -37,10 +37,13 @@ TABLE_CRITERION_TOL = 1e-3
 # error estimate.
 QUADRATURE_NODES = 16
 CHECK_NODES = 8
-# Most terms limit_entropy_series sums.  Its one float array peaks at 8 bytes
-# a term (8 MB under tracemalloc at 10^6 terms), so the cap holds it to
-# 256 MB, the memory transfer.SAMPLER_BYTES_CAP grants the sampler.
+# Most terms limit_entropy_series sums.  Its memory does not grow with the
+# count, so the cap bounds run time and keeps n * n exact in floats, which
+# holds while n < 2^26.5.
 SERIES_TERMS_CAP = 2**25
+# Longest run of terms held as one array: 64 KiB, below glibc's 128 KiB mmap
+# threshold, so freeing a block never moves that threshold.
+_SERIES_BLOCK = 8192
 
 
 def entropy_of_family(m: int) -> float:
@@ -77,26 +80,42 @@ def limit_entropy_quadrature() -> float:
     return -(3 / (2 * math.pi)) * (exact_part + smooth_part)
 
 
+def _series_segment(lo: int, hi: int) -> float:
+    """Sum of sign / n^2 for n = lo + 1 .. hi, split as numpy's pairwise sum splits.
+
+    numpy sums a 1-D float array by halving it at n2 = n // 2 - (n // 2) % 8
+    until a piece is short, then adding the two halves.  A segment of at
+    most _SERIES_BLOCK terms is one such subtree: its own array, summed by
+    np.sum, gives the bits it has inside the whole array.
+    """
+    import numpy as np
+
+    n = hi - lo
+    if n > _SERIES_BLOCK:
+        n2 = n // 2 - (n // 2) % 8
+        return _series_segment(lo, lo + n2) + _series_segment(lo + n2, hi)
+    # ** 2 is n * n and ** -1 is 1.0 / x, each term as in the whole array.
+    block = (np.arange(lo + 1, hi + 1, dtype=float) ** 2) ** -1
+    block[(1 - lo) % 3 :: 3] *= -1.0  # n = 2 mod 3
+    block[(2 - lo) % 3 :: 3] = 0.0  # n = 0 mod 3
+    return float(np.sum(block))
+
+
 def limit_entropy_series(terms: int = 10**6) -> float:
     """h_inf by the Fourier series; absolute tail below 3/(4 pi N).
 
     -(1/2) sum_{n>=1} sin(2 pi n / 3) / n^2 equals the integral; the sine
     is sqrt(3)/2 times the pattern +1, -1, 0 for n = 1, 2, 0 mod 3.
-    The terms are signed in place in the one array of 1/n^2 and summed
-    there: each term, and so the sum's bits, are those of sign / n^2.
+    The terms are formed and summed in blocks of at most _SERIES_BLOCK
+    along numpy's pairwise tree, so the sum has the bits of np.sum over
+    one array of sign / n^2 while memory stays at one block.
     More than SERIES_TERMS_CAP terms raise TooLargeError before any allocation.
     """
-    import numpy as np
-
     if type(terms) is not int or terms < 1:
         raise InvalidParamsError(f"terms must be an int >= 1, got {terms!r}")
     if terms > SERIES_TERMS_CAP:
         raise TooLargeError(f"terms={terms} exceeds the series cap {SERIES_TERMS_CAP}")
-    # ** 2 is n * n and ** -1 is 1.0 / x; numpy reuses each temporary in place.
-    series = (np.arange(1, terms + 1, dtype=float) ** 2) ** -1
-    series[1::3] *= -1.0  # n = 2 mod 3
-    series[2::3] = 0.0  # n = 0 mod 3
-    partial = float(np.sum(series)) * (math.sqrt(3) / 2)
+    partial = _series_segment(0, terms) * (math.sqrt(3) / 2)
     return (3 / (4 * math.pi)) * partial
 
 

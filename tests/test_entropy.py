@@ -71,20 +71,22 @@ def _series_by_sign_array(terms):
 
 
 def test_series_keeps_the_bits_of_the_sign_array_sum():
-    for terms in [*range(1, 301), 10**5, 10**6]:
+    # Around one block (8,192 terms) and across several levels of the split.
+    sizes = [8191, 8192, 8193, 16391, 65543, 10**5, 123457, 999999, 10**6]
+    for terms in [*range(1, 301), *sizes]:
         assert entropy.limit_entropy_series(terms).hex() == _series_by_sign_array(terms).hex(), terms
 
 
-def test_series_holds_at_most_two_term_arrays():
-    """At 10^6 terms one float array is 8 MB; the sign-array sum held four at once."""
-    terms = 10**6
+@pytest.mark.parametrize("terms", [10**6, 4 * 10**6, entropy.SERIES_TERMS_CAP])
+def test_series_peak_does_not_grow_with_terms(terms):
+    """One block of 8,192 terms is 64 KiB; one array of all terms would be 8 bytes a term."""
     tracemalloc.start()
     try:
         entropy.limit_entropy_series(terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * terms + 1_000_000
+    assert peak < 256 * 1024
 
 
 def test_series_rejects_nonpositive_terms():

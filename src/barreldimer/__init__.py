@@ -58,8 +58,8 @@ from .paths import (
 from .entropy import (
     convergence_report,
     entropy_of_family,
+    limit_entropy_closed_form,
     limit_entropy_quadrature,
-    limit_entropy_series,
 )
 from .render import render_graph, render_paths, render_tiling, render_view
 from .validate import run_criteria

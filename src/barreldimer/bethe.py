@@ -143,20 +143,6 @@ def _amplitudes(m: int, p: int, sels: Iterable[tuple[int, ...]]) -> np.ndarray:
     return np.array([np.linalg.det(powers[list(sel)][:, subsets].swapaxes(0, 1)) for sel in sels])
 
 
-def eigenvalue_direct(m: int, p: int, selection, b: float, c: float) -> complex:
-    """Quotient form (c^m + (-1)^p b^m) / prod_{r in R} (c z_r - b).
-
-    Equal to the complementary product wherever the denominator is
-    nonzero; kept as an independent cross-check of the closed form.
-    """
-    roots = roots_for_sector(m, p)
-    denom = 1.0 + 0.0j
-    for r in selection:
-        denom *= c * roots[r] - b
-    num = c**m + (-1) ** p * b**m
-    return num / denom
-
-
 def roots_identity_check(m: int, p: int, b: float, c: float) -> float:
     """|prod over all sector roots of (b - c z) - (b^m + (-1)^p c^m)|, exactly 0 in theory."""
     return abs(complementary_eigenvalue(m, p, (), b, c) - (b**m + (-1) ** p * c**m))

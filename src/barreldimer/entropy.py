@@ -10,9 +10,10 @@ computed here by two unrelated routes that must agree:
 
 * quadrature: split off the exactly integrable log(2t) part and apply
   Gauss-Legendre quadrature to the smooth remainder log(sin t / t);
-* series: integral_0^theta log(2 sin t) dt = -(1/2) sum sin(2 n theta)/n^2
-  evaluated at theta = pi/3, where the sine takes the period-3 pattern
-  (sqrt(3)/2, -sqrt(3)/2, 0) and the tail is bounded by 1/(2N).
+* closed form: integral_0^{pi/3} log(2 sin t) dt = -Cl2(pi/3) / 3, where
+  Cl2(theta) = sum sin(n theta) / n^2 is the Clausen function, so
+  h_inf = Cl2(pi/3) / (2 pi); Cl2 is summed from its Bernoulli-number
+  expansion (Lewin, "Polylogarithms and associated functions", 1981).
 
 The approach is not monotone: h(m) sits below h_inf for m = 1, 2 mod 3
 and above it for m = 0 mod 3 (already h(6) > h_inf), so only the
@@ -25,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 from .bethe import growth_constant
-from .errors import FormulaMismatchError, InvalidParamsError, TooLargeError, ToleranceError
+from .errors import FormulaMismatchError, InvalidParamsError, ToleranceError
 
 H_INF_REFERENCE = 0.1615329736
-LIMIT_AGREEMENT_TOL = 1e-10
+LIMIT_AGREEMENT_TOL = 1e-14
 # Largest accepted gap between the QUADRATURE_NODES and CHECK_NODES rules.
 QUADRATURE_TOL = 1e-10
 TABLE_CRITERION_TOL = 1e-3
@@ -37,13 +38,10 @@ TABLE_CRITERION_TOL = 1e-3
 # error estimate.
 QUADRATURE_NODES = 16
 CHECK_NODES = 8
-# Most terms limit_entropy_series sums.  Its memory does not grow with the
-# count, so the cap bounds run time and keeps n * n exact in floats, which
-# holds while n < 2^26.5.
-SERIES_TERMS_CAP = 2**25
-# Longest run of terms held as one array: 64 KiB, below glibc's 128 KiB mmap
-# threshold, so freeing a block never moves that threshold.
-_SERIES_BLOCK = 8192
+# B_2, B_4, .. B_16 as (numerator, denominator).  At theta = pi/3 each term of
+# the Clausen expansion is about 1/36 of the one before; the first one left
+# out (B_18) is below half an ulp of h_inf.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
 
 
 def entropy_of_family(m: int) -> float:
@@ -80,43 +78,19 @@ def limit_entropy_quadrature() -> float:
     return -(3 / (2 * math.pi)) * (exact_part + smooth_part)
 
 
-def _series_segment(lo: int, hi: int) -> float:
-    """Sum of sign / n^2 for n = lo + 1 .. hi, split as numpy's pairwise sum splits.
+def limit_entropy_closed_form() -> float:
+    """h_inf = Cl2(pi/3) / (2 pi) with the Clausen function in closed form.
 
-    numpy sums a 1-D float array by halving it at n2 = n // 2 - (n // 2) % 8
-    until a piece is short, then adding the two halves.  A segment of at
-    most _SERIES_BLOCK terms is one such subtree: its own array, summed by
-    np.sum, gives the bits it has inside the whole array.
+    Cl2(theta) = theta - theta log theta
+                 + sum_{k>=1} |B_2k| theta^(2k+1) / (2k (2k+1)!)
+    for 0 < theta < 2 pi, B_2k being the Bernoulli numbers; the terms
+    k = 1 .. 8 reach rounding level at theta = pi/3.
     """
-    import numpy as np
-
-    n = hi - lo
-    if n > _SERIES_BLOCK:
-        n2 = n // 2 - (n // 2) % 8
-        return _series_segment(lo, lo + n2) + _series_segment(lo + n2, hi)
-    # ** 2 is n * n and ** -1 is 1.0 / x, each term as in the whole array.
-    block = (np.arange(lo + 1, hi + 1, dtype=float) ** 2) ** -1
-    block[(1 - lo) % 3 :: 3] *= -1.0  # n = 2 mod 3
-    block[(2 - lo) % 3 :: 3] = 0.0  # n = 0 mod 3
-    return float(np.sum(block))
-
-
-def limit_entropy_series(terms: int = 10**6) -> float:
-    """h_inf by the Fourier series; absolute tail below 3/(4 pi N).
-
-    -(1/2) sum_{n>=1} sin(2 pi n / 3) / n^2 equals the integral; the sine
-    is sqrt(3)/2 times the pattern +1, -1, 0 for n = 1, 2, 0 mod 3.
-    The terms are formed and summed in blocks of at most _SERIES_BLOCK
-    along numpy's pairwise tree, so the sum has the bits of np.sum over
-    one array of sign / n^2 while memory stays at one block.
-    More than SERIES_TERMS_CAP terms raise TooLargeError before any allocation.
-    """
-    if type(terms) is not int or terms < 1:
-        raise InvalidParamsError(f"terms must be an int >= 1, got {terms!r}")
-    if terms > SERIES_TERMS_CAP:
-        raise TooLargeError(f"terms={terms} exceeds the series cap {SERIES_TERMS_CAP}")
-    partial = _series_segment(0, terms) * (math.sqrt(3) / 2)
-    return (3 / (4 * math.pi)) * partial
+    theta = math.pi / 3
+    cl2 = theta - theta * math.log(theta)
+    for k, (num, den) in enumerate(_BERNOULLI, start=1):
+        cl2 += abs(num) * theta ** (2 * k + 1) / (den * 2 * k * math.factorial(2 * k + 1))
+    return cl2 / (2 * math.pi)
 
 
 @dataclass(frozen=True)

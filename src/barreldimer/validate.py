@@ -174,10 +174,10 @@ def _check_dp_estimate_cauchy(fast: bool) -> tuple[bool, str]:
 
 def _check_entropy(fast: bool) -> tuple[bool, str]:
     by_quad = entropy.limit_entropy_quadrature()
-    by_series = entropy.limit_entropy_series(10**5 if fast else 10**6)
-    gap = abs(by_quad - by_series)
-    if gap > (1e-8 if fast else entropy.LIMIT_AGREEMENT_TOL):
-        return False, f"quadrature {by_quad!r} vs series {by_series!r}: gap {gap:.2e}"
+    by_closed_form = entropy.limit_entropy_closed_form()
+    gap = abs(by_quad - by_closed_form)
+    if gap > entropy.LIMIT_AGREEMENT_TOL:
+        return False, f"quadrature {by_quad!r} vs closed form {by_closed_form!r}: gap {gap:.2e}"
     ref_gap = abs(by_quad - entropy.H_INF_REFERENCE)
     if ref_gap > 1e-8:
         return False, f"limit {by_quad!r} vs pinned reference: gap {ref_gap:.2e}"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -46,66 +48,45 @@ def test_quadrature_error_estimate_above_tol_raises(monkeypatch):
         entropy.limit_entropy_quadrature()
 
 
-def test_series_matches_quadrature():
+def test_closed_form_matches_quadrature():
     quad = entropy.limit_entropy_quadrature()
-    ser = entropy.limit_entropy_series(1_000_000)
-    assert abs(quad - ser) <= 1e-10
+    assert abs(quad - entropy.limit_entropy_closed_form()) <= 1e-14
 
 
-@pytest.mark.parametrize("terms", [10, 100, 1000])
-def test_series_tail_bound(terms):
-    """Partial sums converge like 1/N with the explicit constant 3*sqrt(3)/(8*pi)."""
-    limit = entropy.limit_entropy_quadrature()
-    err = abs(entropy.limit_entropy_series(terms) - limit)
-    assert err <= 3.0 * math.sqrt(3.0) / (8.0 * math.pi * terms)
+def test_closed_form_matches_reference_constant():
+    assert entropy.limit_entropy_closed_form() == pytest.approx(entropy.H_INF_REFERENCE, abs=1e-10)
 
 
-def _series_by_sign_array(terms):
-    """The series as sign / n^2 over four terms-length arrays: the reference for the bits."""
-    n = np.arange(1, terms + 1, dtype=float)
-    sign = np.zeros(terms)
-    sign[0::3] = 1.0
-    sign[1::3] = -1.0
-    partial = float(np.sum(sign / n**2)) * (math.sqrt(3) / 2)
-    return (3 / (4 * math.pi)) * partial
+def test_closed_form_matches_the_clausen_fourier_series():
+    """Cl2(pi/3) = sum sin(n pi / 3) / n^2, summed by math.fsum to N terms.
+
+    The partial sums of sin(n pi / 3) are bounded by 1 / sin(pi / 6) = 2, so
+    by Abel summation the tail past N is at most 2 / (N + 1)^2.
+    """
+    terms = 10**5
+    theta = math.pi / 3
+    cl2 = math.fsum(math.sin(n * theta) / (n * n) for n in range(1, terms + 1))
+    tail = 2.0 / (terms + 1) ** 2
+    assert abs(entropy.limit_entropy_closed_form() - cl2 / (2 * math.pi)) <= (tail + 1e-15) / (2 * math.pi)
 
 
-def test_series_keeps_the_bits_of_the_sign_array_sum():
-    # Around one block (8,192 terms) and across several levels of the split.
-    sizes = [8191, 8192, 8193, 16391, 65543, 10**5, 123457, 999999, 10**6]
-    for terms in [*range(1, 301), *sizes]:
-        assert entropy.limit_entropy_series(terms).hex() == _series_by_sign_array(terms).hex(), terms
+def test_closed_form_holds_the_bernoulli_numbers():
+    """B_2 .. B_16 from sum_{j<=n} C(n+1, j) B_j = 0; the last ones sit below the 1e-14 check."""
+    b = [Fraction(1)]
+    for n in range(1, 17):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    assert [Fraction(num, den) for num, den in entropy._BERNOULLI] == b[2::2]
 
 
-@pytest.mark.parametrize("terms", [10**6, 4 * 10**6, entropy.SERIES_TERMS_CAP])
-def test_series_peak_does_not_grow_with_terms(terms):
-    """One block of 8,192 terms is 64 KiB; one array of all terms would be 8 bytes a term."""
-    tracemalloc.start()
-    try:
-        entropy.limit_entropy_series(terms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
-
-
-def test_series_rejects_nonpositive_terms():
-    with pytest.raises(errors.InvalidParamsError):
-        entropy.limit_entropy_series(0)
-    with pytest.raises(errors.InvalidParamsError):
-        entropy.limit_entropy_series(10.5)
-
-
-def test_series_above_the_cap_raises_before_allocating():
-    terms = entropy.SERIES_TERMS_CAP + 1
-    tracemalloc.start()
-    try:
-        with pytest.raises(errors.TooLargeError):
-            entropy.limit_entropy_series(terms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+def test_closed_form_loads_neither_numpy_nor_fractions():
+    code = ("import sys\n"
+            "from barreldimer import entropy\n"
+            "entropy.limit_entropy_closed_form()\n"
+            "print('numpy' in sys.modules, 'fractions' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
 
 
 def test_convergence_report_shape():

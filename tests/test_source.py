@@ -136,7 +136,6 @@ def test_commands_load_numpy_only_for_float_checks(commands, loads_numpy):
 # Top-level definitions whose only callers live outside src/, by caller.
 UNREACHED_IN_SRC = {
     "build_transfer": "perfbench/worker.py warm-up",
-    "eigenvalue_direct": "tests/test_bethe.py quotient-form reference",
 }
 
 

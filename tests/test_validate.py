@@ -7,7 +7,7 @@ import types
 import pytest
 from scipy.stats import chi2
 
-from barreldimer import bethe, errors, paths, transfer, validate
+from barreldimer import bethe, entropy, errors, paths, transfer, validate
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
@@ -85,3 +85,12 @@ def test_aggregate_coefficient_failure_names_its_closed_form(monkeypatch, bad_m,
 
     monkeypatch.setattr(paths, "aggregate_estimate", perturbed)
     assert _fast_detail("aggregate-coefficients") == (False, detail)
+
+
+def test_entropy_limit_failure_names_the_closed_form(monkeypatch):
+    """A closed form off by a relative 1e-12 sits 1.6e-13 from the quadrature,
+    far above the 1e-14 agreement tolerance."""
+    real = entropy.limit_entropy_closed_form
+    monkeypatch.setattr(entropy, "limit_entropy_closed_form", lambda: real() * (1 + 1e-12))
+    assert _fast_detail("entropy-limit") == (
+        False, "quadrature 0.16153297360972527 vs closed form 0.16153297360988675: gap 1.61e-13")

@@ -68,6 +68,8 @@ dict lookups.  One generator, _class_vectors, yields Q^0 omega, Q^1 omega,
 .. on the classes, and _orbit_dot is the one orbit-size inner product: the
 counts pair Q^h omega with Q^(k+1-h) omega, and the sampler keeps the
 first k+2 vectors as its suffix weights and scans its rows in the same form.
+A sampler draw is fill(choose(rng)): choose makes all of its random
+choices, and fill, which makes none, turns them into the matching.
 TransferOperator is the unreduced operator, kept as the reference the
 tests check the reduced kernel against; it runs on the same matvec.
 
@@ -487,7 +489,11 @@ class UniformSampler:
     picks the profile layer by layer with conditional probabilities
     proportional to exact integer completion counts, then fills the forced
     cycle and cap matchings (the only free choices are the 2-way
-    alternations at empty layers of even m).
+    alternations at empty layers of even m).  A draw is fill(choose(rng)):
+    choose makes every RNG call and returns the profile masks and the
+    coins as one hashable word, and fill maps a word to its Matching with
+    no RNG call, so a caller that meets the same word again (validate's
+    chi-square test) may fill it once.
     Since W_{j-1} = A W_j, the weight of every choice is already stored:
     one loop body draws all k+2 layers, layer j scanning the row of S_(j-1)
     against W_j only up to the hit, with W_{j-1}[S_{j-1}] as its total.
@@ -507,7 +513,7 @@ class UniformSampler:
     The ids of a mask are read off per-layer tuples of edge_block's ids,
     built once per sampler, so all draws share the same int objects.  Each cap matches the edges of
     _cap_slots around its end profile, the intact cap by one more coin.
-    The coins are drawn in the order left cap, right cap, then the big
+    choose draws the coins in the order left cap, right cap, then the big
     cycles.  Construction raises TooLargeError when _kept_bytes(m, k)
     exceeds SAMPLER_BYTES_CAP, and StructuralViolationError when the kept
     vectors break the reflection lemma (the meet differs from the full
@@ -545,8 +551,14 @@ class UniformSampler:
         self._cycles = tuple((block(EDGE_UP, j), block(EDGE_DOWN, j)) for j in range(1, k + 2))
 
     def draw(self, rng: random.Random) -> Matching:
-        m, k = self.m, self.k
-        rows = self._rows
+        return self.fill(self.choose(rng))
+
+    def choose(self, rng: random.Random) -> tuple[int, ...]:
+        """Every RNG call of one draw, as one hashable word: the k+2 profile
+        masks, then one coin for the left cap if S_0 is empty, one for the
+        right cap if S_(k+1) is, and one for each intact big cycle, left to
+        right."""
+        m, rows = self.m, self._rows
         s_mask, total, profile = -1, self.total, []
         for w in self._suffix:
             row = rows[s_mask]
@@ -556,20 +568,27 @@ class UniformSampler:
             i = _prefix_choice(rng, total, classes, w)
             s_mask, total = targets[i], w[classes[i]]
             profile.append(s_mask)
+        coins = [rng.randrange(2) for s_mask in (profile[0], profile[-1]) if not s_mask]
+        coins += [rng.randrange(2) for a in profile[:-1] if not a]
+        return tuple(profile + coins)
 
+    def fill(self, word: tuple[int, ...]) -> Matching:
+        """The Matching a word of choose stands for; it makes no RNG call."""
+        m, k = self.m, self.k
+        profile, coins = word[:k + 2], iter(word[k + 2:])
         elements = self._elements
         edges: list[int] = []
-        fill = edges.extend
+        extend = edges.extend
         for s_mask, ids in zip((profile[0], profile[-1]), self._caps):
-            coin = rng.randrange(2) if not s_mask else 0
-            fill(map(ids.__getitem__, elements[_cap_slots(m, elements[s_mask], coin)]))
+            coin = next(coins) if not s_mask else 0
+            extend(map(ids.__getitem__, elements[_cap_slots(m, elements[s_mask], coin)]))
         for s_mask, ids in zip(profile, self._horizontal):
-            fill(map(ids.__getitem__, elements[s_mask]))
+            extend(map(ids.__getitem__, elements[s_mask]))
         full = (1 << m) - 1
         for a, b, (up, down) in zip(profile, profile[1:], self._cycles):
-            d_mask = _down_slots(m, a, b, rng.randrange(2) if not a else 0)
-            fill(map(up.__getitem__, elements[full & ~(d_mask | b)]))
-            fill(map(down.__getitem__, elements[d_mask]))
+            d_mask = _down_slots(m, a, b, next(coins) if not a else 0)
+            extend(map(up.__getitem__, elements[full & ~(d_mask | b)]))
+            extend(map(down.__getitem__, elements[d_mask]))
         matched = frozenset(edges)
         if len(edges) != len(matched) or len(matched) != m * (k + 2):
             raise StructuralViolationError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import bethe, entropy, paths, transfer
@@ -193,11 +194,14 @@ def _check_sampler(fast: bool) -> tuple[bool, str]:
     sampler = transfer.UniformSampler(3, 1)
     if sampler.total != 28:
         return False, f"F(3,1) has {sampler.total} matchings, expected 28"
+    # Each distinct choice word is filled once.  freqs meets the matchings in
+    # the order the draws first reach them, so the statistic sums its terms
+    # in the same order, to the same bits, as one fill per draw.
     rng = random.Random(SAMPLER_SEED)
-    freqs: dict[frozenset[int], int] = {}
-    for _ in range(n_samples):
-        key = sampler.draw(rng).edges
-        freqs[key] = freqs.get(key, 0) + 1
+    words = Counter(sampler.choose(rng) for _ in range(n_samples))
+    freqs: Counter[frozenset[int]] = Counter()
+    for word, count in words.items():
+        freqs[sampler.fill(word).edges] += count
     if len(freqs) != 28:
         return False, f"only {len(freqs)} of 28 matchings observed"
     expected = n_samples / 28

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -163,6 +164,65 @@ def test_prefix_draw_matches_list_and_sum_draw(m, ks):
                 assert layers == tuple(frozenset(transfer.mask_elements(s)) for s in profile)
                 assert got.sorted_ids() == want.sorted_ids()
                 assert new_rng.getstate() == old_rng.getstate()
+
+
+# Even m, where the empty profile and its coins occur; at (12, 10) it is
+# 8192 of about 3.8e19 matchings, so only the fill test below reaches it.
+COIN_CASES = [(4, 0), (4, 1), (4, 2), (4, 3), (6, 2), (8, 1), (12, 10)]
+
+
+def test_draw_choose_and_fill_are_defined_in_the_class_body():
+    """The benchmark's tracer wraps vars(UniformSampler)["draw"] and ["__init__"]."""
+    assert {"__init__", "draw", "choose", "fill"} <= set(vars(transfer.UniformSampler))
+
+
+@pytest.mark.parametrize("m,k", COIN_CASES)
+def test_fill_of_choose_is_the_draw(m, k):
+    """choose makes every RNG call of a draw: the same matching, and the two
+    generators end in the same state."""
+    sampler = transfer.UniformSampler(m, k)
+    for seed in (*range(30), 31, 139):  # 31 and 139 draw coins at (6, 2) and (8, 1)
+        choose_rng, draw_rng = random.Random(seed), random.Random(seed)
+        assert sampler.fill(sampler.choose(choose_rng)) == sampler.draw(draw_rng)
+        assert choose_rng.getstate() == draw_rng.getstate()
+
+
+@pytest.mark.parametrize("m,k", COIN_CASES)
+def test_word_holds_the_masks_then_one_coin_per_empty_end(m, k):
+    """k+2 masks, the list-and-sum draw's profile, then one 0/1 coin for each
+    empty cap end and each empty lower profile of a big cycle."""
+    sampler = transfer.UniformSampler(m, k)
+    with_coins = 0
+    for seed in range(150):
+        word = sampler.choose(random.Random(seed))
+        profile, coins = word[:k + 2], word[k + 2:]
+        assert profile == tuple(_list_and_sum_draw(sampler, random.Random(seed))[0])
+        empty = (not profile[0]) + (not profile[-1]) + sum(not a for a in profile[:-1])
+        assert len(coins) == empty
+        assert set(coins) <= {0, 1}
+        with_coins += bool(coins)
+    assert with_coins > 0 or m == 12
+
+
+@pytest.mark.parametrize("m,k", COIN_CASES)
+def test_fill_is_deterministic_in_the_word(m, k):
+    sampler = transfer.UniformSampler(m, k)
+    for seed in range(10):
+        word = sampler.choose(random.Random(seed))
+        assert sampler.fill(word) == sampler.fill(word)
+
+
+@pytest.mark.parametrize("m,k", COIN_CASES)
+def test_fill_tells_every_coin_word_of_the_empty_profile_apart(m, k):
+    """The k+2 empty masks and their k+3 coins (two caps, k+1 intact cycles)
+    fill to the sector_count(m, k, 0) = 2^(k+3) distinct matchings of p = 0."""
+    sampler = transfer.UniformSampler(m, k)
+    filled = {sampler.fill((0,) * (k + 2) + coins)
+              for coins in itertools.product((0, 1), repeat=k + 3)}
+    assert len(filled) == transfer.sector_count(m, k, 0) == 2 ** (k + 3)
+    if m * k <= 24:
+        g = graph.build_graph(graph.BarrelParams(m, k))
+        assert all(graph.is_perfect(g, mt) for mt in filled)
 
 
 def _pairing_slots(m, a, b, choice):

@@ -27,10 +27,10 @@ def test_unknown_level_is_invalid_params():
         validate.run_criteria("medium")
 
 
-def _fast_detail(name: str) -> tuple[bool, str]:
-    """(passed, detail) of one criterion at --level fast."""
+def _detail(name: str, fast: bool = True) -> tuple[bool, str]:
+    """(passed, detail) of one criterion, at --level fast unless fast is False."""
     (fn,) = [fn for _, criterion, fn in validate.CRITERIA if criterion == name]
-    return fn(True)
+    return fn(fast)
 
 
 @pytest.mark.parametrize("name,detail", [
@@ -40,7 +40,7 @@ def _fast_detail(name: str) -> tuple[bool, str]:
      "aggregate = 9 * 3^k (m=3) and 2 (2+sqrt2)^(k+1) (m=4) to 1e-12"),
 ])
 def test_passing_criterion_details_are_pinned(name, detail):
-    assert _fast_detail(name) == (True, detail)
+    assert _detail(name) == (True, detail)
 
 
 @pytest.mark.parametrize("bad_m,detail", [
@@ -52,7 +52,7 @@ def test_empirical_growth_failure_prints_the_ratio(monkeypatch, bad_m, detail):
     real = bethe.growth_constant
     monkeypatch.setattr(bethe, "growth_constant",
                         lambda m: real(m) * (1 + 1e-5) if m == bad_m else real(m))
-    assert _fast_detail("empirical-growth") == (False, detail)
+    assert _detail("empirical-growth") == (False, detail)
 
 
 @pytest.mark.parametrize("dominant,total,result", [
@@ -69,7 +69,7 @@ def test_sector_concentration_threshold_is_exact(monkeypatch, dominant, total, r
     else:
         monkeypatch.setattr(transfer, "sector_count", lambda m, k, p: dominant)
         monkeypatch.setattr(transfer, "count_matchings_transfer", lambda m, k: total)
-    assert _fast_detail("sector-concentration") == result
+    assert _detail("sector-concentration") == result
 
 
 @pytest.mark.parametrize("bad_m,detail", [
@@ -84,7 +84,7 @@ def test_aggregate_coefficient_failure_names_its_closed_form(monkeypatch, bad_m,
         return types.SimpleNamespace(value=value * (1 + 1e-9) if m == bad_m else value)
 
     monkeypatch.setattr(paths, "aggregate_estimate", perturbed)
-    assert _fast_detail("aggregate-coefficients") == (False, detail)
+    assert _detail("aggregate-coefficients") == (False, detail)
 
 
 def test_entropy_limit_failure_names_the_closed_form(monkeypatch):
@@ -92,5 +92,38 @@ def test_entropy_limit_failure_names_the_closed_form(monkeypatch):
     far above the 1e-14 agreement tolerance."""
     real = entropy.limit_entropy_closed_form
     monkeypatch.setattr(entropy, "limit_entropy_closed_form", lambda: real() * (1 + 1e-12))
-    assert _fast_detail("entropy-limit") == (
+    assert _detail("entropy-limit") == (
         False, "quadrature 0.16153297360972527 vs closed form 0.16153297360988675: gap 1.61e-13")
+
+
+@pytest.mark.parametrize("fast,detail", [
+    (True, "chi-square 26.04 < 55.48 on 2800 seeded samples"),
+    (False, "chi-square 29.31 < 55.48 on 28000 seeded samples"),
+])
+def test_sampler_uniformity_details_are_pinned(fast, detail):
+    assert _detail("sampler-uniformity", fast) == (True, detail)
+
+
+def test_sampler_uniformity_fails_on_the_wrong_total(monkeypatch):
+    class Miscounting(transfer.UniformSampler):
+        def __init__(self, m, k):
+            super().__init__(m, k)
+            self.total += 1
+
+    monkeypatch.setattr(transfer, "UniformSampler", Miscounting)
+    assert _detail("sampler-uniformity") == (False, "F(3,1) has 29 matchings, expected 28")
+
+
+def test_sampler_uniformity_merges_words_by_their_matching(monkeypatch):
+    """A fill that gives the second distinct word the first one's matching
+    leaves 27 matchings: the counts of the two words merge by edges."""
+    real = transfer.UniformSampler.fill
+    words = []
+
+    def merging_fill(self, word):
+        words.append(word)
+        return real(self, words[0] if len(words) == 2 else word)
+
+    monkeypatch.setattr(transfer.UniformSampler, "fill", merging_fill)
+    assert _detail("sampler-uniformity") == (False, "only 27 of 28 matchings observed")
+    assert len(set(words)) == len(words) == 28

@@ -12,14 +12,24 @@ colliding.  The exact DP counts in the co-moving frame, where slot l
 holds the walker at site 2l + t: a walker stepping up keeps its slot,
 one stepping down takes slot l - 1 (mod m), and no two may share a slot.
 Each step is generated from these moves alone, independently of the
-transfer operator's rows.  Rotating a slot mask rotates its moves, and
-the cap boundary below is rotation-invariant, so every vector of the
-total is constant on rotation classes (necklaces) of m-bit slot masks: a
-state of the total is a necklace, carried by its least mask and weighted
-by the sum over its orbit, and pushing that sum from the representative's
-moves is exact, with no division.  path_dp_count runs the same walk under
-the identity map: a fixed start is not rotation-invariant, so there a
-state is a plain slot mask.
+transfer operator's rows.  The walk first finds the states that its
+steps can reach from the start, generating each one's moves once, and
+then pulls every state from its sources at each step, so a step is one
+gather per state and a short walk never visits the masks it cannot reach.
+Rotating a slot mask rotates its moves, and the cap boundary below is
+rotation-invariant, so every vector of the total is constant on rotation
+classes (necklaces) of m-bit slot masks: a state of the total is a
+necklace, carried by its least mask and weighted by the sum over its
+orbit, and walking that sum from the representative's moves is exact,
+with no division.  The total also meets in the middle, from two facts:
+the one-step operator M satisfies M^T = R M R for the slot reversal
+R: l -> m-1-l, and the cap boundary b is R-invariant, so
+
+    Phi = b^T M^(k+1) b = sum_S (b^T M^h)(R S) (b^T M^(k+1-h))(S),
+
+h = floor((k+1)/2), and the walk runs only k+1-h steps.  path_dp_count
+runs the same walk under the identity map: a fixed start is not
+rotation-invariant, so there a state is a plain slot mask.
 
 Cap completions enter as boundary multiplicities: an admissible start or
 end configuration is the complement of a cap-matchable subset, weighted
@@ -45,9 +55,11 @@ start and end boundaries B with n walkers the estimate is a square:
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bethe import _crosscheck, _in_range, eigenterm, n_zero
 from .errors import (
@@ -69,10 +81,11 @@ from .graph import (
 )
 from .transfer import _check_boundary_cap, boundary_vector
 
-# Each walker step of the total visits about 2^m / m necklaces (4,116 at
-# m = 16) with integers of ~k log2 rho bits; on 2 cores under Python 3.11
-# total_via_paths(12, 500) takes 0.3 s, (16, 40) 0.6-0.7 s and (16, 500) 10-13 s.
-# The m cap is the DP's own, apart from the transfer cap: (14, 100) takes 0.3 s.
+# The total walks ceil((k+1)/2) steps over the necklaces with an even
+# number of walkers (2,068 of 4,116 at m = 16), with integers of up to
+# ~(k/2) log2 rho bits; on 2 cores under Python 3.11 total_via_paths(12, 500)
+# takes 0.08-0.09 s, (16, 40) 0.2-0.26 s and (16, 500) 3.0-3.2 s.  The m cap
+# is the DP's own, apart from the transfer cap: (14, 100) takes 0.08-0.09 s.
 PATHS_M_CAP = 16
 PATHS_K_CAP = 500
 
@@ -204,8 +217,10 @@ def _necklaces(m: int) -> list[int]:
 
     The ascending scan meets each orbit first at its least mask and walks
     the orbit once from there, so the table costs O(2^m).  Reversal is not
-    folded in, unlike transfer's bracelet classes: walker moves do not
-    commute with it.
+    folded in, unlike transfer's bracelet classes, although the moves
+    would allow it: the moves of R S are those of S reversed by R and
+    rotated down one slot, the site reflection x -> -x read in the
+    co-moving frame.
     """
     full = (1 << m) - 1
     canon = [-1] * (1 << m)
@@ -217,31 +232,60 @@ def _necklaces(m: int) -> list[int]:
     return canon
 
 
-def _walk(m: int, k: int, start: dict[int, int], end: dict[int, int], canon: Sequence[int]) -> int:
-    """sum_S end(S) v(S), where v is start pushed k+1 steps through the walker moves.
+def _walk(m: int, steps: int, start: Mapping[int, int],
+          canon: Sequence[int]) -> tuple[dict[int, int], Iterator[list[int]]]:
+    """(index, vectors): start walked `steps` steps through the walker moves.
 
-    A state is canon[S]: start is folded through canon, and each state's
-    move targets are generated once and mapped as they are.  With the
-    identity range(1 << m) a state is a slot mask.  With canon = _necklaces(m)
-    a state is a necklace representative whose weight is its orbit total, so
-    a target class is counted once per move of the representative landing
-    in it; that is exact only when start, end and the moves are all
-    rotation-invariant.
+    A state is canon[S], and start is folded through canon.  index numbers
+    the states that start reaches in at most `steps` steps, and vectors
+    yields v_0 = start, v_1, .., v_steps as lists in that numbering.  Each
+    state nearer than `steps` generates its _moves once, mapped through
+    canon, and is listed among the sources of each target once per move
+    landing there; a step pulls every state from its sources, one
+    sum(map(v.__getitem__, row)) per row, so the additions run in C.  The
+    states first reached at the last step feed only v_(steps+1) and
+    generate no moves, so a short walk visits only the masks it can reach.
+
+    With the identity range(1 << m) a state is a slot mask.  With
+    canon = _necklaces(m) a state is a necklace representative whose weight
+    is its orbit total: moves commute with rotation, so every mask of a
+    class has as many moves into each class as its representative, and the
+    orbit totals walk exactly, with no division.
     """
-    vec: dict[int, int] = {}
+    index: dict[int, int] = {}
+    for slots in start:
+        index.setdefault(canon[slots], len(index))
+    sources: list[list[int]] = [[] for _ in index]
+    frontier = list(index)
+    for _ in range(steps):
+        reached = []
+        for state in frontier:
+            i = index[state]
+            for target in map(canon.__getitem__, _moves(m, state)):
+                j = index.get(target)
+                if j is None:
+                    j = index[target] = len(sources)
+                    sources.append([])
+                    reached.append(target)
+                sources[j].append(i)
+        frontier = reached
+    vec = [0] * len(index)
     for slots, weight in start.items():
-        vec[canon[slots]] = vec.get(canon[slots], 0) + weight
-    succ: dict[int, tuple[int, ...]] = {}
-    for _ in range(k + 1):
-        out: dict[int, int] = {}
-        for slots, weight in vec.items():
-            targets = succ.get(slots)
-            if targets is None:
-                targets = succ[slots] = tuple(map(canon.__getitem__, _moves(m, slots)))
-            for t in targets:
-                out[t] = out.get(t, 0) + weight
-        vec = out
-    return sum(weight * vec.get(slots, 0) for slots, weight in end.items())
+        vec[index[canon[slots]]] += weight
+
+    def vectors() -> Iterator[list[int]]:
+        v = vec
+        yield v
+        for _ in range(steps):
+            v = [sum(map(v.__getitem__, row)) for row in sources]
+            yield v
+
+    return index, vectors()
+
+
+def _reverse(m: int, slots: int) -> int:
+    """The slot reversal R: bit l of the m-bit mask moves to bit m-1-l."""
+    return int(f"{slots:0{m}b}"[::-1], 2)
 
 
 def _check_size(m: int, k: int) -> None:
@@ -267,22 +311,49 @@ def path_dp_count(m: int, k: int, start: Iterable[int], end: Iterable[int]) -> i
         raise SizeMismatchError(f"start has {n_start} walkers, end {n_end}")
     if n_end and end_parity != (parity + k + 1) % 2:
         return 0
-    return _walk(m, k, {start_slots: 1}, {end_slots: 1}, range(1 << m))
+    index, vectors = _walk(m, k + 1, {start_slots: 1}, range(1 << m))
+    i = index.get(end_slots)
+    return 0 if i is None else next(itertools.islice(vectors, k + 1, None))[i]
 
 
 def total_via_paths(m: int, k: int) -> int:
     """Phi(F(m, k)) as a boundary-weighted sum over all walker families.
 
     In the co-moving frame the start and end boundaries share one slot
-    vector b.  _walk runs on necklaces: the start weight of a class is
-    its orbit total of b, and since the pushed vector v is constant on each
-    class c, Phi = sum_S b(S) v(S) = sum_c b(rep c) * (orbit total of v on c).
-    Only representatives are keys of the walked vector, so the final sum
-    over all of b reads each class once.
+    vector b, so Phi = b^T M^(k+1) b for the one-step walker operator M.
+    The slot reversal R gives M^T = R M R, and R b = b, so the count meets
+    in the middle: with h = floor((k+1)/2) and u_j = b^T M^j,
+
+        Phi = sum_S u_h(R S) u_(k+1-h)(S) = sum_c (T_h[R c] / |c|) T_(k+1-h)[c],
+
+    where T_j is u_j's orbit total on the necklace classes c that _walk
+    reaches in its k+1-h steps.  R maps a class onto a class of the same
+    size, and u_h is constant on it, so the division is exact; a remainder
+    raises StructuralViolationError.  By the reflection noted at _necklaces,
+    each u_j is also R-invariant, so T_h[R c] = T_h[c]; reading R c keeps
+    the sum resting on the two facts above alone.
     """
     _check_size(m, k)
-    boundary = {_site_mask(m, sites)[0]: mult for sites, mult in admissible_boundaries(m)}
-    return _walk(m, k, boundary, boundary, _necklaces(m))
+    # hole 2l at time 0 is slot l
+    boundary = {sum(1 << (site // 2) for site in holes): mult
+                for holes, mult in admissible_boundaries(m)}
+    canon = _necklaces(m)
+    h = (k + 1) // 2
+    index, vectors = _walk(m, k + 1 - h, boundary, canon)
+    mid = next(itertools.islice(vectors, h, None))
+    last = next(vectors) if (k + 1) % 2 else mid
+    sizes = Counter(canon)
+    total = 0
+    for rep, i in index.items():
+        j = index.get(canon[_reverse(m, rep)])
+        if j is None:
+            continue
+        quotient, remainder = divmod(mid[j], sizes[rep])
+        if remainder:
+            raise StructuralViolationError(
+                f"orbit total {mid[j]} is not a multiple of the class size {sizes[rep]}")
+        total += quotient * last[i]
+    return total
 
 
 # ---------------------------------------------------------------------------

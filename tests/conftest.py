@@ -13,6 +13,12 @@ The recursive enumerator, the entry-by-entry amplitude loop and the
 pair-by-pair cycle matching are the earlier forms of the library's
 explicit-stack enumeration, stacked determinants and slot-mask fill; the
 library must reproduce their order and their bits.
+
+The push walk is the earlier form of the walker DP: it scatters every
+state's weight onto its move targets through dict updates, all k+1 steps,
+where the library pulls each state from its sources and meets in the
+middle.  It shares only the one-step moves, paths._moves, which the tests
+check against the transfer rows.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from barreldimer.errors import InvalidParamsError, StructuralViolationError
+from barreldimer.paths import _moves
 from barreldimer.transfer import mask_elements
 
 
@@ -184,3 +191,30 @@ def amplitudes_by_entry(roots: Sequence[complex], sel: Sequence[int],
             mat = np.array([[z ** l for l in ls] for z in zs], dtype=complex)
             amps.append(complex(np.linalg.det(mat)))
     return tuple(amps)
+
+
+def push_walk(m: int, k: int, start: dict[int, int], end: dict[int, int], canon: Sequence[int]) -> int:
+    """sum_S end(S) v(S), where v is start pushed k+1 steps through the walker moves.
+
+    A state is canon[S]: start is folded through canon, and each state's
+    move targets are generated once and mapped as they are.  With the
+    identity range(1 << m) a state is a slot mask.  With canon = _necklaces(m)
+    a state is a necklace representative whose weight is its orbit total, so
+    a target class is counted once per move of the representative landing
+    in it; that is exact only when start, end and the moves are all
+    rotation-invariant.
+    """
+    vec: dict[int, int] = {}
+    for slots, weight in start.items():
+        vec[canon[slots]] = vec.get(canon[slots], 0) + weight
+    succ: dict[int, tuple[int, ...]] = {}
+    for _ in range(k + 1):
+        out: dict[int, int] = {}
+        for slots, weight in vec.items():
+            targets = succ.get(slots)
+            if targets is None:
+                targets = succ[slots] = tuple(map(canon.__getitem__, _moves(m, slots)))
+            for t in targets:
+                out[t] = out.get(t, 0) + weight
+        vec = out
+    return sum(weight * vec.get(slots, 0) for slots, weight in end.items())

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
+from conftest import push_walk
 
 from barreldimer import bethe, errors, graph, paths, transfer
 
@@ -235,8 +238,120 @@ def test_necklace_total_equals_the_unreduced_push(m):
     boundary = {paths._site_mask(m, sites)[0]: mult
                 for sites, mult in paths.admissible_boundaries(m)}
     for k in range(9):
-        want = paths._walk(m, k, boundary, boundary, range(1 << m))
+        want = push_walk(m, k, boundary, boundary, range(1 << m))
         assert paths.total_via_paths(m, k) == want, k
+
+
+def _reversed(m, mask):
+    return sum(1 << (m - 1 - l) for l in range(m) if mask >> l & 1)
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_walker_operator_transpose_is_the_reversed_operator(m):
+    """M^T = R M R: the sources of S, with multiplicity, are R of the moves of R S."""
+    sources = {slots: Counter() for slots in range(1 << m)}
+    for slots in range(1 << m):
+        for target in paths._moves(m, slots):
+            sources[target][slots] += 1
+    for slots in range(1 << m):
+        want = Counter(_reversed(m, t) for t in paths._moves(m, _reversed(m, slots)))
+        assert sources[slots] == want, slots
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_walker_moves_commute_with_reversal_up_to_a_rotation(m):
+    """The moves of R S are R of the moves of S, rotated down one slot."""
+    for slots in range(1 << m):
+        got = Counter(paths._moves(m, _reversed(m, slots)))
+        assert got == Counter(_rotate(m, _reversed(m, t), m - 1) for t in paths._moves(m, slots)), slots
+
+
+@pytest.mark.parametrize("m", range(3, 21))
+def test_boundary_is_reversal_invariant(m):
+    boundary = {sum(1 << (site // 2) for site in holes): mult
+                for holes, mult in paths.admissible_boundaries(m)}
+    assert {_reversed(m, slots): mult for slots, mult in boundary.items()} == boundary
+    assert all(paths._reverse(m, slots) == _reversed(m, slots) for slots in boundary)
+
+
+def _reference_dp(m, k, start, end):
+    """path_dp_count by the push walk on plain slot masks, with its parity rule."""
+    start_slots, parity = paths._site_mask(m, start)
+    end_slots, end_parity = paths._site_mask(m, end, parity + k + 1)
+    if end and end_parity != (parity + k + 1) % 2:
+        return 0
+    return push_walk(m, k, {start_slots: 1}, {end_slots: 1}, range(1 << m))
+
+
+def _site_sets(m):
+    """Every parity-homogeneous site set of the 2m sites, the empty set once."""
+    out = [()]
+    for parity in (0, 1):
+        sites = range(parity, 2 * m, 2)
+        out += [c for n in range(1, m + 1) for c in itertools.combinations(sites, n)]
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_dp_equals_the_push_walk_for_every_pair(m):
+    sets = _site_sets(m)
+    for k in range(4):
+        for start in sets:
+            for end in sets:
+                if len(end) == len(start):
+                    assert paths.path_dp_count(m, k, start, end) == _reference_dp(
+                        m, k, start, end), (k, start, end)
+
+
+@pytest.mark.parametrize("m", range(6, 11))
+def test_dp_equals_the_push_walk_on_random_pairs(m):
+    rng = random.Random(m)
+    for _ in range(25):
+        k = rng.randrange(8)
+        n = rng.randint(1, m)
+        parity = rng.randrange(2)
+        start = rng.sample(range(parity, 2 * m, 2), n)
+        end_parity = (parity + k + 1) % 2 if rng.random() < 0.8 else rng.randrange(2)
+        end = rng.sample(range(end_parity, 2 * m, 2), n)
+        assert paths.path_dp_count(m, k, start, end) == _reference_dp(m, k, start, end), (
+            k, start, end)
+
+
+def test_total_rejects_an_orbit_total_that_is_not_a_multiple(monkeypatch):
+    walk = paths._walk
+
+    def corrupted(*args):
+        index, vectors = walk(*args)
+        return index, ([x + 1 for x in vec] for vec in vectors)
+
+    monkeypatch.setattr(paths, "_walk", corrupted)
+    with pytest.raises(errors.StructuralViolationError, match="not a multiple"):
+        paths.total_via_paths(6, 3)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_short_dp_generates_moves_only_for_reachable_masks(monkeypatch, k):
+    """A short walk at m = 16 never enumerates the C(16, 8) masks of its sector."""
+    m, start = 16, {0, 2, 4, 6, 8, 10, 12, 14}
+    start_slots = paths._site_mask(m, start)[0]
+    reachable = {start_slots}
+    for _ in range(k):
+        reachable |= {t for slots in reachable for t in paths._moves(m, slots)}
+    end = [(site + k + 1) % (2 * m) for site in start]
+    want = _reference_dp(m, k, start, end)
+    assert want > 0
+    seen = []
+    moves = paths._moves
+
+    def recording(m, slots):
+        seen.append(slots)
+        return moves(m, slots)
+
+    monkeypatch.setattr(paths, "_moves", recording)
+    assert paths.path_dp_count(m, k, start, end) == want
+    assert len(seen) == len(set(seen)) == len(reachable)
+    assert set(seen) == reachable
+    assert len(seen) < 300
 
 
 def test_total_walks_one_state_per_necklace(monkeypatch):
@@ -267,8 +382,8 @@ def test_dp_growth_rate_matches_growth_constant():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", range(3, 13))
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("m", range(3, 17))
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 30])
 def test_total_via_paths_equals_transfer(m, k):
     assert paths.total_via_paths(m, k) == transfer.count_matchings_transfer(m, k)
 
